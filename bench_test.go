@@ -246,71 +246,28 @@ func BenchmarkTable1Parallel(b *testing.B) {
 }
 
 // longPoleGrammars are the slowest Table-1 rows — the grammars whose few
-// expensive conflicts dominate a corpus sweep and that the level-synchronous
-// intra-conflict mode exists to attack.
+// expensive conflicts dominate a corpus sweep.
 var longPoleGrammars = []string{"Java.2", "Java.4", "C.4", "java-ext2"}
 
-// longPoleOpts are deterministic budgets for the intra-worker comparison:
-// no wall clock, a fixed configuration cap, and the FIFO frontier, under
-// which the level-synchronous mode is byte-identical to the sequential loop
-// at every worker count (the heap frontier is its own equal-cost tie-break,
-// so it would compare different — equally minimal — witnesses).
-func longPoleOpts(intra int) core.Options {
-	return core.Options{
+// BenchmarkLongPole measures the shipped search — sequential, default
+// frontier — on the long-pole grammars under a deterministic budget (no wall
+// clock, a fixed configuration cap), so every iteration does the same work.
+func BenchmarkLongPole(b *testing.B) {
+	opts := core.Options{
 		PerConflictTimeout: core.NoTimeout,
 		CumulativeTimeout:  core.NoTimeout,
 		MaxConfigs:         10000,
 		Parallelism:        1,
-		FIFOFrontier:       true,
-		IntraWorkers:       intra,
 	}
-}
-
-// BenchmarkLongPole measures the intra-conflict level-synchronous search on
-// the long-pole grammars at 1 vs 4 workers. The first iteration of every
-// intra>1 sub-benchmark asserts per-conflict results identical to the
-// sequential reference — the determinism bar the mode guarantees.
-//
-// Like BenchmarkTable1Parallel, what the ratio means depends on the
-// hardware: with one core the generation phases serialize and the ratio
-// measures pure coordination overhead; with N cores the level expansion
-// genuinely overlaps and the long poles shrink.
-func BenchmarkLongPole(b *testing.B) {
 	for _, name := range longPoleGrammars {
 		tbl := mustTable(b, name)
-		g := tbl.A.G
-		f := core.NewFinder(tbl, longPoleOpts(1))
-		refExs, err := f.FindAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ref := make([]string, len(refExs))
-		for i, ex := range refExs {
-			ref[i] = exampleFingerprint(g, ex)
-		}
-		for _, intra := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/intra=%d", name, intra), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					f := core.NewFinder(tbl, longPoleOpts(intra))
-					exs, err := f.FindAll()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i > 0 || intra == 1 {
-						continue
-					}
-					if len(exs) != len(ref) {
-						b.Fatalf("%s: %d examples, sequential found %d", name, len(exs), len(ref))
-					}
-					for k, ex := range exs {
-						if got := exampleFingerprint(g, ex); got != ref[k] {
-							b.Fatalf("%s conflict %d: intra=%d result diverged from sequential\n got: %s\nwant: %s",
-								name, k, intra, got, ref[k])
-						}
-					}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.NewFinder(tbl, opts).FindAll(); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

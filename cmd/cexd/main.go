@@ -33,7 +33,6 @@ import (
 	"syscall"
 	"time"
 
-	"lrcex/internal/core"
 	"lrcex/internal/faults"
 	"lrcex/internal/gdl"
 	"lrcex/internal/server"
@@ -48,7 +47,6 @@ func main() {
 		queue        = flag.Int("queue", 0, "queued jobs before shedding 429s (0 = default 64)")
 		cache        = flag.Int("cache", 0, "LRU result cache entries (0 = default 256, negative disables)")
 		compileCache = flag.Int("compile-cache", 0, "compiled-grammar cache entries, keyed by fingerprint alone (0 = default 64, negative disables)")
-		intra        = flag.Int("intra", 0, "default per-conflict workers for the level-synchronous search (0/1 = sequential)")
 		maxSource    = flag.Int("max-source-bytes", 0, "largest accepted grammar source (0 = default 1 MiB)")
 		maxProds     = flag.Int("max-productions", 0, "most productions per grammar (0 = default 20000)")
 		maxSyms      = flag.Int("max-symbols", 0, "most distinct symbols per grammar (0 = default 10000)")
@@ -100,7 +98,6 @@ func main() {
 		QueueDepth:     *queue,
 		CacheEntries:   *cache,
 		CompileEntries: *compileCache,
-		Finder:         core.Options{IntraWorkers: *intra},
 		Limits: gdl.Limits{
 			MaxSourceBytes: *maxSource,
 			MaxProductions: *maxProds,

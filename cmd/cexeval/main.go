@@ -59,7 +59,7 @@ func main() {
 		memprofile    = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	// The search-tuning surface (-timeout, -cumulative, -notimeout, -j,
-	// -extendedsearch, -maxconfigs, -fifofrontier, -stats) is shared with
+	// -extendedsearch, -maxconfigs, -maxarena, -stats) is shared with
 	// cexgen via internal/cliflags so the two tools stay uniform.
 	search := cliflags.RegisterSearch(flag.CommandLine)
 	flag.Parse()

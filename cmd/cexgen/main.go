@@ -36,8 +36,8 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	// The search-tuning surface (-timeout, -cumulative, -notimeout, -j,
-	// -intra, -extendedsearch, -maxconfigs, -fifofrontier, -stats) is shared
-	// with cexeval via internal/cliflags so the two tools stay uniform.
+	// -extendedsearch, -maxconfigs, -maxarena, -stats) is shared with
+	// cexeval via internal/cliflags so the two tools stay uniform.
 	search := cliflags.RegisterSearch(flag.CommandLine)
 	flag.Parse()
 

@@ -85,7 +85,6 @@ func main() {
 		warmup     = flag.Duration("warmup", 500*time.Millisecond, "per-level warmup excluded from stats")
 		unique     = flag.Bool("unique", false, "bust the result cache by making every request's grammar unique")
 		maxConfigs = flag.Int("maxconfigs", 20000, "per-conflict search budget sent with each request")
-		intra      = flag.Int("intra", 0, "intra_workers sent with each request (0 = server default)")
 		deadlineMS = flag.Int("deadline-ms", 10000, "per-request deadline sent with each request")
 		retries    = flag.Int("retries", 0, "client retries on 429/503 (0 keeps shed responses visible)")
 		out        = flag.String("out", "", "write the JSON report here (default stdout)")
@@ -136,7 +135,7 @@ func main() {
 	}
 
 	for _, conc := range levels {
-		lr := runLevel(ctx, logger, c, entries, conc, *duration, *warmup, *unique, *maxConfigs, *intra, *deadlineMS, *smoke)
+		lr := runLevel(ctx, logger, c, entries, conc, *duration, *warmup, *unique, *maxConfigs, *deadlineMS, *smoke)
 		rep.Levels = append(rep.Levels, lr)
 		logger.Printf("c=%d: %d req in %.1fs → %.1f req/s, p50 %.2fms p95 %.2fms p99 %.2fms (ok %d, cached %d, partial %d, shed %d, err %d)",
 			conc, lr.Requests, lr.DurationSec, lr.Throughput,
@@ -172,7 +171,7 @@ func main() {
 
 // runLevel drives one closed-loop concurrency level and aggregates stats.
 func runLevel(ctx context.Context, logger *log.Logger, c *client.Client, entries []*corpus.Entry,
-	conc int, duration, warmup time.Duration, unique bool, maxConfigs, intraWorkers, deadlineMS int, smoke bool) levelResult {
+	conc int, duration, warmup time.Duration, unique bool, maxConfigs, deadlineMS int, smoke bool) levelResult {
 
 	var (
 		mu        sync.Mutex
@@ -220,10 +219,9 @@ func runLevel(ctx context.Context, logger *log.Logger, c *client.Client, entries
 					Name:    e.Name,
 					Grammar: src,
 					Options: server.AnalyzeOptions{
-						NoTimeout:    true,
-						MaxConfigs:   maxConfigs,
-						IntraWorkers: intraWorkers,
-						DeadlineMS:   deadlineMS,
+						NoTimeout:  true,
+						MaxConfigs: maxConfigs,
+						DeadlineMS: deadlineMS,
 					},
 				}
 				start := time.Now()

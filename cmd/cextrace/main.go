@@ -78,7 +78,7 @@ type PoleEntry struct {
 
 // Determinism records the span-tree matrix check.
 type Determinism struct {
-	Matrix    []string `json:"matrix"` // e.g. "j=1,intra=1"
+	Matrix    []string `json:"matrix"` // e.g. "j=8"
 	Grammars  int      `json:"grammars_checked"`
 	Identical bool     `json:"identical"`
 }
@@ -262,26 +262,23 @@ func replayLongPole(entries []*corpus.Entry, maxConfigs, topK, workers int) (Lon
 }
 
 // detOpts is the deterministic option set of one matrix cell: wall-clock
-// limits off, configuration budget on, FIFO frontier so equal-cost pops are
-// order-stable.
-func detOpts(j, intra, maxConfigs int) core.Options {
+// limits off, configuration budget on.
+func detOpts(j, maxConfigs int) core.Options {
 	return core.Options{
 		PerConflictTimeout: core.NoTimeout,
 		CumulativeTimeout:  core.NoTimeout,
 		MaxConfigs:         maxConfigs,
-		FIFOFrontier:       true,
 		Parallelism:        j,
-		IntraWorkers:       intra,
 	}
 }
 
-// canonicalAt runs one grammar's full search at one (j, intra) cell and
+// canonicalAt runs one grammar's full search at outer parallelism j and
 // returns the canonical span-tree rendering (IDs, structure, deterministic
 // attributes; no timestamps).
-func canonicalAt(compiled *core.Compiled, name string, j, intra, maxConfigs int) (string, error) {
+func canonicalAt(compiled *core.Compiled, name string, j, maxConfigs int) (string, error) {
 	tracer := trace.NewTracer(1)
 	ctx, root := trace.New(context.Background(), tracer, name, "run")
-	finder := core.NewFinderFromCompiled(compiled, detOpts(j, intra, maxConfigs))
+	finder := core.NewFinderFromCompiled(compiled, detOpts(j, maxConfigs))
 	_, err := finder.FindAllContext(ctx)
 	root.End()
 	if err != nil {
@@ -295,12 +292,12 @@ func canonicalAt(compiled *core.Compiled, name string, j, intra, maxConfigs int)
 }
 
 // verifyDeterminism checks that every grammar's span tree is byte-identical
-// across the j×intra matrix.
+// across the j{1,8} matrix.
 func verifyDeterminism(entries []*corpus.Entry, maxConfigs int) (Determinism, error) {
-	cells := [][2]int{{1, 1}, {1, 4}, {8, 1}, {8, 4}}
+	cells := []int{1, 8}
 	det := Determinism{Identical: true, Grammars: len(entries)}
-	for _, c := range cells {
-		det.Matrix = append(det.Matrix, fmt.Sprintf("j=%d,intra=%d", c[0], c[1]))
+	for _, j := range cells {
+		det.Matrix = append(det.Matrix, fmt.Sprintf("j=%d", j))
 	}
 	for _, e := range entries {
 		_, tbl, err := eval.Build(e)
@@ -308,18 +305,18 @@ func verifyDeterminism(entries []*corpus.Entry, maxConfigs int) (Determinism, er
 			return det, err
 		}
 		compiled := core.Compile(tbl)
-		ref, err := canonicalAt(compiled, e.Name, 1, 1, maxConfigs)
+		ref, err := canonicalAt(compiled, e.Name, cells[0], maxConfigs)
 		if err != nil {
 			return det, fmt.Errorf("%s: %w", e.Name, err)
 		}
-		for _, c := range cells[1:] {
-			got, err := canonicalAt(compiled, e.Name, c[0], c[1], maxConfigs)
+		for _, j := range cells[1:] {
+			got, err := canonicalAt(compiled, e.Name, j, maxConfigs)
 			if err != nil {
-				return det, fmt.Errorf("%s at j=%d,intra=%d: %w", e.Name, c[0], c[1], err)
+				return det, fmt.Errorf("%s at j=%d: %w", e.Name, j, err)
 			}
 			if got != ref {
 				det.Identical = false
-				fmt.Fprintf(os.Stderr, "cextrace: span tree for %s diverges at j=%d,intra=%d\n", e.Name, c[0], c[1])
+				fmt.Fprintf(os.Stderr, "cextrace: span tree for %s diverges at j=%d\n", e.Name, j)
 			}
 		}
 	}
@@ -350,7 +347,7 @@ func measureOverhead(entries []*corpus.Entry, maxConfigs, reps int) Overhead {
 		if traced {
 			ctx, root = trace.New(ctx, trace.NewTracer(1), p.name, "run")
 		}
-		finder := core.NewFinderFromCompiled(p.compiled, detOpts(1, 1, maxConfigs))
+		finder := core.NewFinderFromCompiled(p.compiled, detOpts(1, maxConfigs))
 		start := time.Now()
 		if _, err := finder.FindAllContext(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "cextrace: overhead run %s: %v\n", p.name, err)

@@ -36,10 +36,6 @@ type Search struct {
 	// Parallelism is the conflicts searched concurrently (-j; 0 =
 	// GOMAXPROCS, 1 = sequential).
 	Parallelism int
-	// IntraWorkers is the per-conflict worker count of the level-synchronous
-	// search (-intra; 0/1 = the classic sequential expansion loop, ≥ 2 =
-	// level-synchronous with byte-identical reports at every count).
-	IntraWorkers int
 	// ExtendedSearch lifts the shortest-path restriction (-extendedsearch).
 	ExtendedSearch bool
 	// MaxConfigs bounds configurations expanded per conflict (-maxconfigs;
@@ -49,8 +45,6 @@ type Search struct {
 	// 0 = unlimited). Over budget the conflict degrades to a nonunifying
 	// example. Deterministic like MaxConfigs.
 	MaxArenaBytes int64
-	// FIFOFrontier selects the bucket-queue frontier (-fifofrontier).
-	FIFOFrontier bool
 	// Stats asks the command to print search statistics (-stats).
 	Stats bool
 	// Faults is the fault-injection spec (-faults; also LRCEX_FAULTS).
@@ -80,11 +74,9 @@ func RegisterSearch(fs *flag.FlagSet) *Search {
 	fs.DurationVar(&s.Cumulative, "cumulative", 2*time.Minute, "cumulative time limit across all conflicts (negative = no limit)")
 	fs.BoolVar(&s.NoTimeout, "notimeout", false, "disable both time limits (pair with -maxconfigs for a deterministic budget)")
 	fs.IntVar(&s.Parallelism, "j", 0, "conflicts searched in parallel (0 = GOMAXPROCS, 1 = sequential)")
-	fs.IntVar(&s.IntraWorkers, "intra", 0, "workers expanding each conflict's frontier level-synchronously (0/1 = sequential, answers never depend on the count)")
 	fs.BoolVar(&s.ExtendedSearch, "extendedsearch", false, "search beyond the shortest lookahead-sensitive path")
 	fs.IntVar(&s.MaxConfigs, "maxconfigs", 0, "configurations expanded per conflict before giving up (0 = unlimited)")
 	fs.Int64Var(&s.MaxArenaBytes, "maxarena", 0, "search-owned bytes per conflict before degrading to nonunifying (0 = unlimited)")
-	fs.BoolVar(&s.FIFOFrontier, "fifofrontier", false, "use the bucket-queue frontier (equal-cost ties pop FIFO)")
 	fs.BoolVar(&s.Stats, "stats", false, "print search statistics (expansions, dedup hits, memory)")
 	fs.StringVar(&s.Faults, "faults", "", "fault-injection spec, e.g. \"seed=42;all=0.05;core.unify.expand=0.1x3\" (default: LRCEX_FAULTS)")
 	fs.BoolVar(&s.Repair, "repair", false, "run the conflict-repair advisor after the counterexample reports")
@@ -102,11 +94,9 @@ func (s *Search) FinderOptions() core.Options {
 		PerConflictTimeout: s.Timeout,
 		CumulativeTimeout:  s.Cumulative,
 		Parallelism:        s.Parallelism,
-		IntraWorkers:       s.IntraWorkers,
 		ExtendedSearch:     s.ExtendedSearch,
 		MaxConfigs:         s.MaxConfigs,
 		MaxArenaBytes:      s.MaxArenaBytes,
-		FIFOFrontier:       s.FIFOFrontier,
 	}
 	if s.NoTimeout {
 		o.PerConflictTimeout = core.NoTimeout

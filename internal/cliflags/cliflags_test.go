@@ -32,7 +32,7 @@ func TestParityAcrossRegistrations(t *testing.T) {
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("flag surfaces differ:\n%v\n%v", sa, sb)
 	}
-	want := []string{"timeout", "cumulative", "notimeout", "j", "intra", "extendedsearch", "maxconfigs", "maxarena", "fifofrontier", "stats", "faults", "repair", "repair-budget", "max-candidates", "trace-out"}
+	want := []string{"timeout", "cumulative", "notimeout", "j", "extendedsearch", "maxconfigs", "maxarena", "stats", "faults", "repair", "repair-budget", "max-candidates", "trace-out"}
 	for _, name := range want {
 		if _, ok := sa[name]; !ok {
 			t.Errorf("flag -%s not registered", name)
@@ -54,11 +54,9 @@ func TestParityWithAnalyzeOptions(t *testing.T) {
 		"cumulative":     "cumulative_timeout_ms",
 		"notimeout":      "no_timeout",
 		"j":              "parallelism",
-		"intra":          "intra_workers",
 		"extendedsearch": "extended_search",
 		"maxconfigs":     "max_configs",
 		"maxarena":       "max_arena_bytes",
-		"fifofrontier":   "fifo_frontier",
 	}
 
 	jsonFields := make(map[string]bool)
@@ -157,7 +155,7 @@ func TestRepairOptionsMapping(t *testing.T) {
 func TestFinderOptionsMapping(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	s := RegisterSearch(fs)
-	if err := fs.Parse([]string{"-timeout", "7s", "-cumulative", "3m", "-j", "3", "-intra", "4", "-extendedsearch", "-maxconfigs", "123", "-maxarena", "4096", "-fifofrontier"}); err != nil {
+	if err := fs.Parse([]string{"-timeout", "7s", "-cumulative", "3m", "-j", "3", "-extendedsearch", "-maxconfigs", "123", "-maxarena", "4096"}); err != nil {
 		t.Fatal(err)
 	}
 	got := s.FinderOptions()
@@ -165,11 +163,9 @@ func TestFinderOptionsMapping(t *testing.T) {
 		PerConflictTimeout: 7 * time.Second,
 		CumulativeTimeout:  3 * time.Minute,
 		Parallelism:        3,
-		IntraWorkers:       4,
 		ExtendedSearch:     true,
 		MaxConfigs:         123,
 		MaxArenaBytes:      4096,
-		FIFOFrontier:       true,
 	}
 	if got != want {
 		t.Fatalf("FinderOptions() = %+v, want %+v", got, want)
@@ -197,8 +193,8 @@ func TestDefaultsMatchPaper(t *testing.T) {
 	if s.Timeout != 5*time.Second || s.Cumulative != 2*time.Minute {
 		t.Fatalf("defaults = (%v, %v), want (5s, 2m)", s.Timeout, s.Cumulative)
 	}
-	if s.NoTimeout || s.ExtendedSearch || s.FIFOFrontier || s.Stats || s.MaxConfigs != 0 || s.Parallelism != 0 ||
-		s.IntraWorkers != 0 || s.MaxArenaBytes != 0 || s.Faults != "" ||
+	if s.NoTimeout || s.ExtendedSearch || s.Stats || s.MaxConfigs != 0 || s.Parallelism != 0 ||
+		s.MaxArenaBytes != 0 || s.Faults != "" ||
 		s.Repair || s.RepairBudget != 0 || s.MaxCandidates != 0 || s.TraceOut != "" {
 		t.Fatalf("non-zero default in %+v", s)
 	}

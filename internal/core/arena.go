@@ -88,7 +88,6 @@ type searchMem struct {
 	configs  arena[config]
 
 	heap    heapFrontier
-	buckets bucketQueue
 	visited visitedTable
 
 	ac allocCounter
@@ -97,28 +96,21 @@ type searchMem struct {
 	nodeBuf  []node
 	derivBuf []*Deriv
 
-	// emitBuf receives the sequential path's expansion candidates (the
-	// level-synchronous mode uses per-batch buffers instead); levelBuf holds
-	// the configurations of the cost level being expanded. Both are retained
-	// across conflicts like the arenas.
-	emitBuf  []config
-	levelBuf []*config
+	// emitBuf receives one expansion's successor candidates before
+	// admission; it is retained across conflicts like the arenas.
+	emitBuf []config
 }
 
 // resetSearch prepares the memory for the next conflict: arenas rewind,
 // the frontier and visited table empty (keeping capacity), and the
 // allocation counters restart.
-func (m *searchMem) resetSearch(maxStep int, fifo bool) {
+func (m *searchMem) resetSearch() {
 	m.icells.reset()
 	m.dcells.reset()
 	m.derivs.reset()
 	m.children.reset()
 	m.configs.reset()
-	if fifo {
-		m.buckets.reset(maxStep)
-	} else {
-		m.heap.reset()
-	}
+	m.heap.reset()
 	m.visited.reset()
 	m.ac = allocCounter{}
 }

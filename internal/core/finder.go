@@ -35,33 +35,15 @@ type Options struct {
 	// wall-clock time its conflicts consumed, so the paper's global limit is
 	// respected regardless of how many searches run at once.
 	CumulativeTimeout time.Duration
-	// Parallelism sizes the shared token pool of the two-level scheduler
-	// (default GOMAXPROCS; 1 forces the sequential path). FindAll runs up to
-	// this many conflicts concurrently — hardest first, so the long-pole
-	// conflict never lands on an otherwise-drained pool — and, with
-	// IntraWorkers set, per-conflict worker groups borrow the leftover
-	// tokens for intra-conflict helpers. Results are always returned in
+	// Parallelism is the number of conflicts FindAll searches concurrently
+	// (default GOMAXPROCS; 1 forces the sequential path), hardest first, so
+	// the long-pole conflict never lands on an otherwise-drained pool. Each
+	// conflict's search itself is sequential. Results are always returned in
 	// conflict order, and per-conflict outcomes are deterministic:
 	// parallelism changes wall-clock, never answers — except where answers
 	// depend on wall-clock itself (time limits and the shared cumulative
 	// budget).
 	Parallelism int
-	// IntraWorkers selects the level-synchronous parallel mode of the
-	// unifying search and sizes each conflict's worker group (0 or 1 =
-	// classic sequential expansion). With IntraWorkers ≥ 2, every
-	// configuration at the current cost level is expanded speculatively — by
-	// the conflict's own worker plus up to IntraWorkers-1 helpers borrowed
-	// from the Parallelism token pool — and the successor batches are merged
-	// back in level order. Reports are byte-identical for every IntraWorkers
-	// ≥ 2 regardless of how many helpers the pool actually grants. Under
-	// FIFOFrontier the level order equals the sequential pop order, so the
-	// reports also match IntraWorkers=0 exactly; the default heap frontier's
-	// level drain is a different — equally minimal, fully deterministic —
-	// tie-break among equal-cost configurations, like FIFOFrontier itself.
-	// Requires a strictly monotone cost model (every action increment
-	// positive, as in DefaultCosts); otherwise the search silently falls
-	// back to sequential expansion.
-	IntraWorkers int
 	// ExtendedSearch lifts the restriction of reverse transitions to states
 	// on the shortest lookahead-sensitive path (the -extendedsearch flag).
 	ExtendedSearch bool
@@ -70,13 +52,6 @@ type Options struct {
 	// the wall-clock limits this cap is deterministic: the same grammar and
 	// options always expand the same configurations in the same order.
 	MaxConfigs int
-	// FIFOFrontier selects the monotone bucket-queue frontier for the
-	// unifying search: O(1) push/pop, with equal-cost configurations popping
-	// in push order. The default frontier replicates the historical binary
-	// heap bit-for-bit, so reports stay byte-identical with earlier releases;
-	// the FIFO tie-break is still fully deterministic but may choose a
-	// different — equally minimal — witness for a handful of conflicts.
-	FIFOFrontier bool
 	// MaxArenaBytes bounds the search-owned memory of one conflict's
 	// unifying search (0 = unlimited), measured by the same per-object
 	// accounting SearchStats.AllocBytes reports. A search that would exceed
@@ -100,9 +75,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.IntraWorkers < 0 {
-		o.IntraWorkers = 0
 	}
 	o.Costs = o.Costs.withDefaults()
 	return o
@@ -306,20 +278,6 @@ type scratch struct {
 	// visited table. Nothing allocated from it survives a find call (winning
 	// derivations are deep-copied), so it recycles wholesale per conflict.
 	mem searchMem
-
-	// intraMems are the expansion arenas of the level-synchronous mode: one
-	// per worker-group slot (slot 0 belongs to the conflict's own worker),
-	// so speculative generation never allocates from the merge-side mem.
-	// Lazily grown to Options.IntraWorkers and retained across conflicts.
-	intraMems []*searchMem
-}
-
-// intraMemories returns n expansion mems, allocating the missing ones.
-func (sc *scratch) intraMemories(n int) []*searchMem {
-	for len(sc.intraMems) < n {
-		sc.intraMems = append(sc.intraMems, &searchMem{})
-	}
-	return sc.intraMems[:n]
 }
 
 // busySet returns the lazily allocated expansion recursion guard.
@@ -423,12 +381,10 @@ func (f *Finder) FindAllContext(ctx context.Context) ([]*Example, error) {
 	}
 
 	if workers <= 1 {
-		// Single outer worker: no pool contention, so the intra-conflict
-		// group (if any) borrows helpers freely (nil pool = unbounded).
 		out := make([]*Example, 0, len(conflicts))
 		sc := &scratch{}
 		for i, c := range conflicts {
-			ex, err := f.findTraced(ctx, c, i, sc, nil)
+			ex, err := f.findTraced(ctx, c, i, sc)
 			if err != nil {
 				return out, conflictErr(f.tbl, c, err)
 			}
@@ -442,12 +398,8 @@ func (f *Finder) FindAllContext(ctx context.Context) ([]*Example, error) {
 	poolCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// The token pool holds Options.Parallelism tokens: one per outer worker
-	// (held for the worker's lifetime; workers ≤ capacity, so acquisition
-	// never blocks) with the remainder available for intra-conflict helper
-	// borrowing. Conflicts are claimed in longest-first order to cut
-	// makespan; out/errs stay indexed by original conflict position.
-	pool := newTokenPool(f.opts.Parallelism)
+	// Conflicts are claimed in longest-first order to cut makespan;
+	// out/errs stay indexed by original conflict position.
 	order := f.scheduleOrder(conflicts)
 
 	var next atomic.Int64
@@ -456,8 +408,6 @@ func (f *Finder) FindAllContext(ctx context.Context) ([]*Example, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pool.acquire()
-			defer pool.release()
 			sc := &scratch{} // per-worker: never shared across goroutines
 			for {
 				k := int(next.Add(1)) - 1
@@ -465,7 +415,7 @@ func (f *Finder) FindAllContext(ctx context.Context) ([]*Example, error) {
 					return
 				}
 				i := order[k]
-				ex, err := f.findTraced(poolCtx, conflicts[i], i, sc, pool)
+				ex, err := f.findTraced(poolCtx, conflicts[i], i, sc)
 				if err != nil {
 					errs[i] = err
 					cancel() // stop the remaining workers cooperatively
@@ -544,17 +494,14 @@ func (f *Finder) Find(c lr.Conflict) (*Example, error) {
 }
 
 // FindContext is Find with cooperative cancellation. Concurrent FindContext
-// calls on one Finder are safe and share the cumulative time-bank. The
-// intra-conflict worker group (Options.IntraWorkers) borrows helpers without
-// a token pool here: a single-conflict call has no outer parallelism to
-// arbitrate against.
+// calls on one Finder are safe and share the cumulative time-bank.
 func (f *Finder) FindContext(ctx context.Context, c lr.Conflict) (*Example, error) {
 	sc, _ := f.scPool.Get().(*scratch)
 	if sc == nil {
 		sc = &scratch{}
 	}
 	defer f.scPool.Put(sc)
-	return f.findTraced(ctx, c, f.conflictIndex(c), sc, nil)
+	return f.findTraced(ctx, c, f.conflictIndex(c), sc)
 }
 
 // fallbackConflictSeq offsets the span sequence number of a conflict not
@@ -577,20 +524,19 @@ func (f *Finder) conflictIndex(c lr.Conflict) int {
 
 // findTraced wraps find in a "conflict.search" span. The sequence number is
 // the conflict's position in the table — a pure function of the grammar — so
-// the span tree is identical at every Parallelism/IntraWorkers setting.
-// Conflict coordinates and outcome are deterministic attributes; wall-clock,
-// search counters, and the time-bank draw are volatile (expansion counts
-// legitimately differ between sequential and level-synchronous modes).
-func (f *Finder) findTraced(ctx context.Context, c lr.Conflict, seq int, sc *scratch, pool *tokenPool) (*Example, error) {
+// the span tree is identical at every Parallelism setting. Conflict
+// coordinates and outcome are deterministic attributes; wall-clock, search
+// counters, and the time-bank draw are volatile.
+func (f *Finder) findTraced(ctx context.Context, c lr.Conflict, seq int, sc *scratch) (*Example, error) {
 	ctx, span := trace.StartSeq(ctx, "conflict.search", seq)
 	if span == nil {
-		return f.find(ctx, c, sc, pool)
+		return f.find(ctx, c, sc)
 	}
 	span.Set("state", c.State)
 	span.Set("symbol", f.tbl.A.G.Name(c.Sym))
 	span.Set("conflict", c.Kind.String())
 	before := f.bank.remainingNanos()
-	ex, err := f.find(ctx, c, sc, pool)
+	ex, err := f.find(ctx, c, sc)
 	if ex != nil {
 		span.Set("outcome", ex.Kind.String())
 		if ex.Merged {
@@ -619,8 +565,8 @@ func (f *Finder) findTraced(ctx context.Context, c lr.Conflict, seq int, sc *scr
 // fresh memory (kind NonunifyingRecovered) while every other conflict
 // proceeds untouched. Only a second panic, during the already-degraded
 // retry, surfaces the typed *ErrSearchPanic as an error.
-func (f *Finder) find(ctx context.Context, c lr.Conflict, sc *scratch, pool *tokenPool) (*Example, error) {
-	ex, err := f.findGuarded(ctx, c, sc, pool)
+func (f *Finder) find(ctx context.Context, c lr.Conflict, sc *scratch) (*Example, error) {
+	ex, err := f.findGuarded(ctx, c, sc)
 	var sp *ErrSearchPanic
 	if err == nil || !errors.As(err, &sp) {
 		return ex, err
@@ -651,14 +597,14 @@ func (f *Finder) find(ctx context.Context, c lr.Conflict, sc *scratch, pool *tok
 }
 
 // findGuarded is one search attempt with panics converted to *ErrSearchPanic.
-func (f *Finder) findGuarded(ctx context.Context, c lr.Conflict, sc *scratch, pool *tokenPool) (ex *Example, err error) {
+func (f *Finder) findGuarded(ctx context.Context, c lr.Conflict, sc *scratch) (ex *Example, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ex = nil
 			err = &ErrSearchPanic{State: c.State, Sym: c.Sym, Value: r, Stack: faults.Stack()}
 		}
 	}()
-	return f.search(ctx, c, sc, pool, true)
+	return f.search(ctx, c, sc, true)
 }
 
 // findDegraded re-runs only the nonunifying construction after a contained
@@ -671,7 +617,7 @@ func (f *Finder) findDegraded(ctx context.Context, c lr.Conflict, sc *scratch, s
 			ex, err = nil, sp
 		}
 	}()
-	ex, err = f.search(ctx, c, sc, nil, false)
+	ex, err = f.search(ctx, c, sc, false)
 	if err != nil {
 		return nil, err
 	}
@@ -687,7 +633,7 @@ func (f *Finder) findDegraded(ctx context.Context, c lr.Conflict, sc *scratch, s
 // the per-conflict time limit is a deadline context derived from it.
 // runUnify=false is the degraded mode of the recovery ladder: only the path
 // searches and the nonunifying construction run (the caller stamps the kind).
-func (f *Finder) search(ctx context.Context, c lr.Conflict, sc *scratch, pool *tokenPool, runUnify bool) (*Example, error) {
+func (f *Finder) search(ctx context.Context, c lr.Conflict, sc *scratch, runUnify bool) (*Example, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -717,14 +663,8 @@ func (f *Finder) search(ctx context.Context, c lr.Conflict, sc *scratch, pool *t
 			searchCtx, cancel = context.WithDeadline(ctx, start.Add(f.opts.PerConflictTimeout))
 			defer cancel()
 		}
-		search := newUnifySearch(f.g, c, f.opts.Costs, allowed, f.opts.MaxConfigs, f.opts.MaxArenaBytes, &sc.mem, f.opts.FIFOFrontier)
-		var res *unifyResult
-		if n := f.opts.IntraWorkers; n >= 2 && f.opts.Costs.minStep() >= 1 {
-			grp := newIntraGroup(searchCtx, search, sc.intraMemories(n), pool)
-			res = search.runLevelSync(searchCtx, grp)
-		} else {
-			res = search.run(searchCtx)
-		}
+		search := newUnifySearch(f.g, c, f.opts.Costs, allowed, f.opts.MaxConfigs, f.opts.MaxArenaBytes, &sc.mem)
+		res := search.run(searchCtx)
 		ex.Expanded = search.Expanded
 		ex.Stats = search.stats()
 		if search.Cancelled {

@@ -4,30 +4,16 @@ import "lrcex/internal/faults"
 
 // The frontier and visited set of the unifying search.
 //
-// Two frontier implementations share the frontier interface:
-//
-//   - heapFrontier (the default) is a concrete-typed replica of
-//     container/heap over cost-ordered configurations. Its sift-up/sift-down
-//     logic mirrors the standard library's algorithms operation for
-//     operation, so the pop order — including the order among equal-cost
-//     configurations, which the cost-only comparison leaves to sift history —
-//     is bit-identical to the container/heap frontier this file replaces.
-//     That equality is what keeps every report byte-identical to the
-//     pre-rewrite search core (locked by TestGoldenReports and property-
-//     tested against the real container/heap in frontier_test.go), while
-//     dropping the interface-boxed elements and per-comparison dynamic
-//     dispatch of the standard library.
-//
-//   - bucketQueue (Options.FIFOFrontier) is a monotone bucket priority
-//     queue: action costs are small bounded positive integers (Shift=1 …
-//     RevProdStep+DupProdStep=60 under the default model) and the search is
-//     monotone — every successor costs at least as much as the configuration
-//     being expanded — so a circular array of FIFO buckets indexed by cost
-//     mod (maxStep+1) gives O(1) push and pop with no sift traffic at all.
-//     Equal-cost configurations then pop in push order, which is a different
-//     (equally minimal) tie-break than the heap's: on the Table-1 corpus it
-//     changes exactly one reported witness (a Java.4 dangling-else variant),
-//     which is why it is opt-in rather than the default.
+// heapFrontier is the search's one priority queue: a concrete-typed replica
+// of container/heap over cost-ordered configurations. Its sift-up/sift-down
+// logic mirrors the standard library's algorithms operation for operation,
+// so the pop order — including the order among equal-cost configurations,
+// which the cost-only comparison leaves to sift history — is bit-identical
+// to the container/heap frontier this file replaces. That equality is what
+// keeps every report byte-identical to the pre-rewrite search core (locked
+// by TestGoldenReports and property-tested against the real container/heap
+// in frontier_test.go), while dropping the interface-boxed elements and
+// per-comparison dynamic dispatch of the standard library.
 //
 // visitedTable replaces the map[string]bool dedup set: the key is the 64-bit
 // combined rolling hash of a configuration (both item sequences plus the
@@ -36,28 +22,6 @@ import "lrcex/internal/faults"
 // minting a byte string per push. The index is an open-addressing table of
 // packed 8-byte slots and entries chain through a flat arena slice, so
 // recording a configuration allocates nothing in the steady state.
-
-// frontier is the priority queue of the unifying search. Implementations
-// must pop in nondecreasing cost order; the tie-break among equal costs is
-// implementation-defined (see above).
-//
-// drainLevel removes every configuration of the current minimum cost at once
-// — the unit of work of the level-synchronous parallel mode. Under a strictly
-// monotone cost model (every action increment positive, see
-// CostModel.minStep) a drained level is closed: expanding its members can
-// only push strictly costlier configurations, so the drain is safe. The
-// order within the returned slice is the implementation's pop order for the
-// bucket queue (FIFO — draining is indistinguishable from popping one by
-// one), and consecutive-pop order for the heap (which differs from the
-// sequential loop's push-interleaved pops only in the tie-break among equal
-// costs, deterministically so).
-type frontier interface {
-	push(c *config)
-	pop() *config // nil when empty
-	drainLevel(dst []*config) []*config
-	size() int
-	peakSize() int
-}
 
 // heapFrontier replicates container/heap exactly (Less is cost-only, Swap is
 // element exchange, Push appends, Pop swaps the root to the end) with
@@ -139,128 +103,6 @@ func (h *heapFrontier) pop() *config {
 	items[n] = heapSlot{} // release for GC / arena hygiene
 	h.items = items[:n]
 	return c
-}
-
-// drainLevel pops the root and then every further configuration of the same
-// cost, into dst (reused, returned re-sliced). Equal-cost ties follow the
-// heap's consecutive-pop order.
-func (h *heapFrontier) drainLevel(dst []*config) []*config {
-	dst = dst[:0]
-	c := h.pop()
-	if c == nil {
-		return dst
-	}
-	dst = append(dst, c)
-	for len(h.items) > 0 && h.items[0].cost == c.cost {
-		dst = append(dst, h.pop())
-	}
-	return dst
-}
-
-// bqBucket is one FIFO bucket: a slice drained through head and recycled
-// in place once empty.
-type bqBucket struct {
-	items []*config
-	head  int
-}
-
-// bucketQueue is a monotone bucket priority queue over configuration cost.
-type bucketQueue struct {
-	buckets []bqBucket
-	span    int // len(buckets) == max cost increment + 1
-	cur     int // cost currently being drained; never decreases while nonempty
-	n       int
-	peak    int // high-water mark of n, for SearchStats
-}
-
-// reset sizes the ring for cost increments of at most maxStep and empties
-// the buckets, keeping their capacity.
-func (q *bucketQueue) reset(maxStep int) {
-	if maxStep < 1 {
-		maxStep = 1
-	}
-	if span := maxStep + 1; span > len(q.buckets) {
-		q.buckets = append(q.buckets, make([]bqBucket, span-len(q.buckets))...)
-	}
-	q.span = maxStep + 1
-	for i := range q.buckets {
-		b := &q.buckets[i]
-		clear(b.items)
-		b.items = b.items[:0]
-		b.head = 0
-	}
-	q.cur, q.n, q.peak = 0, 0, 0
-}
-
-func (q *bucketQueue) size() int     { return q.n }
-func (q *bucketQueue) peakSize() int { return q.peak }
-
-// push enqueues c. Costs must lie within a window of span consecutive values
-// containing the minimum pending cost, which the cost model guarantees:
-// successors of a cost-d configuration cost between d and d+maxStep. A push
-// below the current drain level lowers it — this happens legitimately when
-// the frontier drains empty mid-expansion (the last configuration was popped
-// and its successors are being pushed one by one, not in cost order), and
-// defensively under a hand-built model with non-positive increments, where
-// pops may interleave out of order but nothing is ever lost.
-func (q *bucketQueue) push(c *config) {
-	if q.n == 0 || c.cost < q.cur {
-		q.cur = c.cost
-	}
-	b := &q.buckets[c.cost%q.span]
-	b.items = append(b.items, c)
-	q.n++
-	if q.n > q.peak {
-		q.peak = q.n
-	}
-}
-
-// drainLevel empties the current cost bucket into dst (reused, returned
-// re-sliced) in push order. All pending configurations of one bucket share a
-// single cost (the span covers one window of consecutive values), so the
-// drain returns exactly the configurations a sequence of pops would, in the
-// same FIFO order.
-func (q *bucketQueue) drainLevel(dst []*config) []*config {
-	dst = dst[:0]
-	if q.n == 0 {
-		return dst
-	}
-	for {
-		b := &q.buckets[q.cur%q.span]
-		if b.head < len(b.items) {
-			pending := b.items[b.head:]
-			dst = append(dst, pending...)
-			clear(pending)
-			q.n -= len(pending)
-			b.items = b.items[:0]
-			b.head = 0
-			return dst
-		}
-		q.cur++
-	}
-}
-
-// pop removes and returns the minimum-cost configuration (FIFO among equal
-// costs), or nil when the frontier is empty.
-func (q *bucketQueue) pop() *config {
-	if q.n == 0 {
-		return nil
-	}
-	for {
-		b := &q.buckets[q.cur%q.span]
-		if b.head < len(b.items) {
-			c := b.items[b.head]
-			b.items[b.head] = nil // release for GC
-			b.head++
-			if b.head == len(b.items) {
-				b.items = b.items[:0]
-				b.head = 0
-			}
-			q.n--
-			return c
-		}
-		q.cur++
-	}
 }
 
 // visitedTable is the hashed dedup set of the unifying search: an

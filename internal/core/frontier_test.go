@@ -1,6 +1,6 @@
 package core
 
-// Property tests for the two frontier implementations.
+// Property tests for the frontier and the visited table.
 //
 // The heapFrontier's doc comment promises that its pop order — including the
 // order among equal-cost configurations, which the cost-only comparison
@@ -10,10 +10,6 @@ package core
 // same random push/pop interleavings and must return the identical *config
 // pointers in the identical order. This is the property that keeps every
 // counterexample report byte-identical to the pre-rewrite search core.
-//
-// The bucketQueue promises a different contract: pops are nondecreasing in
-// cost and FIFO among equal costs. TestBucketQueueOrder checks it against a
-// sort-based model.
 
 import (
 	"container/heap"
@@ -104,89 +100,6 @@ func costOf(c *config) interface{} {
 	return c.cost
 }
 
-// TestBucketQueueOrder drives the bucket queue through random monotone
-// push/pop interleavings (successor costs only ever grow, as in the search)
-// and checks both halves of its contract: nondecreasing cost order, FIFO
-// among equal costs.
-func TestBucketQueueOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	type tagged struct {
-		cost, seq int
-	}
-	for round := 0; round < 200; round++ {
-		maxStep := 1 + rng.Intn(60)
-		var q bucketQueue
-		q.reset(maxStep)
-		// Model: the multiset of pushed-but-unpopped configurations with
-		// their push sequence numbers.
-		pending := map[*config]tagged{}
-		seq, floor, lastCost, lastSeq := 0, 0, -1, -1
-		for step := 0; step < 500; step++ {
-			if rng.Intn(3) != 0 || len(pending) == 0 {
-				// The search pushes successors of the configuration most
-				// recently popped: cost in [floor, floor+maxStep]. The very
-				// first push is the start configuration at the minimum cost,
-				// which anchors the queue's monotone drain level — the
-				// precondition the search establishes by construction.
-				cost := floor + rng.Intn(maxStep+1)
-				if seq == 0 {
-					cost = floor
-				}
-				c := &config{cost: cost}
-				q.push(c)
-				pending[c] = tagged{cost: c.cost, seq: seq}
-				seq++
-				continue
-			}
-			c := q.pop()
-			if c == nil {
-				t.Fatalf("round %d step %d: pop returned nil with %d pending", round, step, len(pending))
-			}
-			tag, ok := pending[c]
-			if !ok {
-				t.Fatalf("round %d step %d: pop returned unknown configuration", round, step)
-			}
-			delete(pending, c)
-			// Minimality: nothing pending is cheaper.
-			for _, other := range pending {
-				if other.cost < tag.cost {
-					t.Fatalf("round %d step %d: popped cost %d while cost %d pending",
-						round, step, tag.cost, other.cost)
-				}
-			}
-			// FIFO among equal costs: within one cost level, sequence
-			// numbers only grow.
-			if tag.cost == lastCost && tag.seq < lastSeq {
-				t.Fatalf("round %d step %d: FIFO violated at cost %d (seq %d after %d)",
-					round, step, tag.cost, tag.seq, lastSeq)
-			}
-			lastCost, lastSeq = tag.cost, tag.seq
-			floor = tag.cost
-		}
-		// Drain and check the suffix too.
-		for len(pending) > 0 {
-			c := q.pop()
-			tag := pending[c]
-			delete(pending, c)
-			for _, other := range pending {
-				if other.cost < tag.cost {
-					t.Fatalf("round %d drain: popped cost %d while cost %d pending", round, tag.cost, other.cost)
-				}
-			}
-			if tag.cost == lastCost && tag.seq < lastSeq {
-				t.Fatalf("round %d drain: FIFO violated at cost %d", round, tag.cost)
-			}
-			lastCost, lastSeq = tag.cost, tag.seq
-		}
-		if q.pop() != nil {
-			t.Fatalf("round %d: pop from empty queue returned a configuration", round)
-		}
-		if q.size() != 0 {
-			t.Fatalf("round %d: size %d after drain", round, q.size())
-		}
-	}
-}
-
 // TestVisitedTableMatchesModel drives the open-addressing visited table
 // through random probe/record sequences against a reference model — a
 // map[uint64][]*config with structural equality — and requires the same
@@ -200,7 +113,7 @@ func TestBucketQueueOrder(t *testing.T) {
 func TestVisitedTableMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	mem := &searchMem{}
-	mem.resetSearch(1, false)
+	mem.resetSearch()
 
 	type shape struct {
 		items1, items2 []node

@@ -17,7 +17,7 @@ import (
 //  2. oracle validity: every unifying counterexample re-parses ambiguously
 //     under the independent GLR oracle (when the oracle is applicable);
 //  3. schedule independence: sequential and parallel FindAll produce
-//     identical ExampleKinds per conflict, because the budgets used here
+//     byte-identical canonical reports, because the budgets used here
 //     (NoTimeout + MaxConfigs) are deterministic.
 //
 // Run a longer campaign with:
@@ -62,57 +62,9 @@ func FuzzFindAll(f *testing.F) {
 		if len(par) != len(seq) {
 			t.Fatalf("parallel returned %d examples, sequential %d, on\n%s", len(par), len(seq), g)
 		}
-		for i := range seq {
-			if seq[i].Kind != par[i].Kind {
-				t.Errorf("conflict %d: sequential kind %s, parallel kind %s, on\n%s",
-					i, seq[i].Kind, par[i].Kind, g)
-			}
-		}
-
-		// Level-synchronous mode at a seed-derived worker count. Heap mode is
-		// a tie-break of its own (like the FIFO frontier, it may choose a
-		// different — equally minimal — witness than sequential heap order),
-		// so the property fuzzed here is schedule independence *within* the
-		// mode: two different worker counts must produce byte-identical
-		// reports.
-		k1 := 2 + r.Intn(7) // 2..8
-		k2 := 2 + r.Intn(7)
-		if k2 == k1 {
-			k2 = 2 + (k1-1)%7
-		}
-		opts.IntraWorkers = k1
-		lvl, err := core.NewFinder(tbl, opts).FindAll()
-		if err != nil {
-			t.Fatalf("intra=%d FindAll on\n%s: %v", k1, g, err)
-		}
-		if len(lvl) != len(seq) {
-			t.Fatalf("intra=%d returned %d examples, sequential %d, on\n%s", k1, len(lvl), len(seq), g)
-		}
-		opts.IntraWorkers = k2
-		lvl2, err := core.NewFinder(tbl, opts).FindAll()
-		if err != nil {
-			t.Fatalf("intra=%d FindAll on\n%s: %v", k2, g, err)
-		}
-		if ra, rb := core.CanonicalReport(tbl.A, lvl), core.CanonicalReport(tbl.A, lvl2); ra != rb {
-			t.Errorf("heap intra=%d and intra=%d reports diverged on\n%s\n--- intra=%d ---\n%s\n--- intra=%d ---\n%s",
-				k1, k2, g, k1, ra, k2, rb)
-		}
-		fifo := opts
-		fifo.Parallelism = 1
-		fifo.FIFOFrontier = true
-		fifoSeq := fifo
-		fifoSeq.IntraWorkers = 0
-		a, err := core.NewFinder(tbl, fifoSeq).FindAll()
-		if err != nil {
-			t.Fatalf("sequential FIFO FindAll on\n%s: %v", g, err)
-		}
-		b, err := core.NewFinder(tbl, fifo).FindAll()
-		if err != nil {
-			t.Fatalf("FIFO intra=%d FindAll on\n%s: %v", fifo.IntraWorkers, g, err)
-		}
-		if ra, rb := core.CanonicalReport(tbl.A, a), core.CanonicalReport(tbl.A, b); ra != rb {
-			t.Errorf("FIFO intra=%d report diverged from sequential on\n%s\n--- sequential ---\n%s\n--- intra ---\n%s",
-				fifo.IntraWorkers, g, ra, rb)
+		if ra, rb := core.CanonicalReport(tbl.A, seq), core.CanonicalReport(tbl.A, par); ra != rb {
+			t.Errorf("sequential and parallel reports diverged on\n%s\n--- sequential ---\n%s\n--- parallel ---\n%s",
+				g, ra, rb)
 		}
 
 		for _, ex := range seq {

@@ -183,3 +183,24 @@ func TestZeroPerConflictTimeoutMeansDefault(t *testing.T) {
 		t.Error("zero-value options found no unifying example on figure1; default timeout misapplied?")
 	}
 }
+
+// TestNonMonotoneCostModelCompletes: a hand-built cost model with a negative
+// increment (withDefaults keeps explicit negatives) breaks the frontier's
+// monotone cost order, but the search must still run to completion under a
+// MaxConfigs budget — an answer for every conflict, no error, no hang.
+func TestNonMonotoneCostModelCompletes(t *testing.T) {
+	_, tbl := build(t, "figure1")
+	exs, err := core.NewFinder(tbl, core.Options{
+		PerConflictTimeout: core.NoTimeout,
+		CumulativeTimeout:  core.NoTimeout,
+		MaxConfigs:         20000,
+		Parallelism:        1,
+		Costs:              core.CostModel{Shift: -1},
+	}).FindAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exs) != len(tbl.Conflicts) {
+		t.Fatalf("%d examples for %d conflicts", len(exs), len(tbl.Conflicts))
+	}
+}

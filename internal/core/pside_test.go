@@ -136,7 +136,7 @@ func TestSideMatchesNaiveModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(20150613)) // PLDI 2015
 	mem := &searchMem{}
 	for round := 0; round < rounds; round++ {
-		mem.resetSearch(1, false)
+		mem.resetSearch()
 		start := node(rng.Intn(universe))
 		got, want := sideOf(start, mem), naiveOf(start)
 		for step := 0; step < steps; step++ {
@@ -194,7 +194,7 @@ func TestSideMatchesNaiveModel(t *testing.T) {
 // constantly — and with this base none occurs).
 func TestSideHashDistinguishesSequences(t *testing.T) {
 	mem := &searchMem{}
-	mem.resetSearch(1, false)
+	mem.resetSearch()
 	seen := map[uint64]string{}
 	var enumerate func(prefix []node)
 	enumerate = func(prefix []node) {
@@ -223,7 +223,7 @@ func TestSideHashDistinguishesSequences(t *testing.T) {
 // configuration sharing the same 64-bit key is not.
 func TestVisitedTableCollisionFallback(t *testing.T) {
 	mem := &searchMem{}
-	mem.resetSearch(1, false)
+	mem.resetSearch()
 
 	mk := func(items1, items2 []node) *config {
 		c := &config{orig1: 0, orig2: 0}

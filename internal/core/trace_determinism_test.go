@@ -18,11 +18,23 @@ import (
 // (wall-clock, expansion counters, time-bank draws) are excluded from the
 // canonical form by construction.
 
+// traceOpts is the deterministic option set at outer parallelism j: no
+// wall-clock limits, and a configuration budget small enough that the suite
+// stays fast under -race.
+func traceOpts(j int) core.Options {
+	return core.Options{
+		PerConflictTimeout: core.NoTimeout,
+		CumulativeTimeout:  core.NoTimeout,
+		MaxConfigs:         20000,
+		Parallelism:        j,
+	}
+}
+
 // tracedCanonical runs FindAllContext under a fresh trace with a fixed trace
 // ID and returns the canonical span tree.
 func tracedCanonical(t *testing.T, name string, opts core.Options) string {
 	t.Helper()
-	tbl := intraTable(t, name)
+	_, tbl := build(t, name)
 	tracer := trace.NewTracer(1)
 	ctx, root := trace.New(context.Background(), tracer, "determinism", "findall")
 	if _, err := core.NewFinder(tbl, opts).FindAllContext(ctx); err != nil {
@@ -36,32 +48,27 @@ func tracedCanonical(t *testing.T, name string, opts core.Options) string {
 	return traces[0].Canonical()
 }
 
-// TestTraceDeterminismMatrix: the span tree at j{1,8}×intra{1,4} matches the
-// sequential reference byte for byte. FIFOFrontier plus deterministic budgets
-// (NoTimeout + MaxConfigs) make the underlying reports identical, so the
-// deterministic span attributes (outcome kinds included) must match too.
+// TestTraceDeterminismMatrix: the span tree at j=8 matches the sequential
+// (j=1) reference byte for byte. Deterministic budgets (NoTimeout +
+// MaxConfigs) make the underlying reports identical, so the deterministic
+// span attributes (outcome kinds included) must match too.
 func TestTraceDeterminismMatrix(t *testing.T) {
-	ref := tracedCanonical(t, "C.4", intraOpts(true, 1, 0))
+	ref := tracedCanonical(t, "C.4", traceOpts(1))
 	if !strings.Contains(ref, "conflict.search#") {
 		t.Fatalf("reference trace has no conflict spans:\n%s", ref)
 	}
-	for _, j := range []int{1, 8} {
-		for _, intra := range []int{1, 4} {
-			got := tracedCanonical(t, "C.4", intraOpts(true, j, intra))
-			if got != ref {
-				t.Errorf("span tree at j=%d intra=%d diverged from sequential reference:\n%s\nvs\n%s", j, intra, got, ref)
-			}
-		}
+	if got := tracedCanonical(t, "C.4", traceOpts(8)); got != ref {
+		t.Errorf("span tree at j=8 diverged from sequential reference:\n%s\nvs\n%s", got, ref)
 	}
 }
 
 // TestTraceDeterminismUnderFaults: an armed fault schedule replayed with the
 // same seed produces the same span tree, recovery spans included. Faults are
-// counter-indexed per point, so the runs must be sequential (j=1, intra=0)
-// for the firing-to-conflict assignment to be reproducible — which is exactly
+// counter-indexed per point, so the runs must be sequential (j=1) for the
+// firing-to-conflict assignment to be reproducible — which is exactly
 // how a chaos investigation replays a failure.
 func TestTraceDeterminismUnderFaults(t *testing.T) {
-	opts := intraOpts(true, 1, 0)
+	opts := traceOpts(1)
 	opts.MaxConfigs = 2000
 	cfg := faults.Config{
 		Seed:  42,

@@ -72,41 +72,6 @@ func (m CostModel) withDefaults() CostModel {
 	return m
 }
 
-// maxStep is the largest possible cost increment of a single action, which
-// sizes the bucket frontier's ring.
-func (m CostModel) maxStep() int {
-	max := m.Shift
-	for _, v := range [...]int{
-		m.RevShift, m.Reduce,
-		m.ProdStep, m.ProdStep + m.DupProdStep,
-		m.RevProdStep, m.RevProdStep + m.DupProdStep,
-	} {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// minStep is the smallest possible cost increment of a single action. The
-// level-synchronous parallel mode requires it to be positive: every successor
-// then costs strictly more than the configuration it came from, so once a
-// cost level is drained from the frontier it is closed — no expansion can add
-// to it — and the whole level can be expanded speculatively in parallel.
-func (m CostModel) minStep() int {
-	min := m.Shift
-	for _, v := range [...]int{
-		m.RevShift, m.Reduce,
-		m.ProdStep, m.ProdStep + m.DupProdStep,
-		m.RevProdStep, m.RevProdStep + m.DupProdStep,
-	} {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
 // config is a search state of the outward search (Figure 8): two item
 // sequences with their partial derivations (persistent, structure-shared —
 // see pside.go), plus bookkeeping.
@@ -220,12 +185,11 @@ type unifySearch struct {
 	maxArena   int64
 
 	mem      *searchMem
-	frontier frontier
+	frontier *heapFrontier
 
-	// x is the sequential path's expansion context, sharing mem; the
-	// level-synchronous mode builds one expander per worker-group slot
-	// instead (see intra.go).
-	x expander
+	// out receives the successor candidates of the expansion in flight, in
+	// emission order; its storage is mem.emitBuf.
+	out []config
 
 	// stats
 	Expanded  int
@@ -243,26 +207,18 @@ type unifySearch struct {
 }
 
 // newUnifySearch prepares a search over mem, which is reset here and must
-// not be shared with a concurrently running search. fifo selects the
-// bucket-queue frontier; the default is the heap replica (see frontier.go
-// for the tie-break consequences).
-func newUnifySearch(g *graph, c lr.Conflict, costs CostModel, allowedState []bool, maxConfigs int, maxArena int64, mem *searchMem, fifo bool) *unifySearch {
-	mem.resetSearch(costs.maxStep(), fifo)
-	u := &unifySearch{
+// not be shared with a concurrently running search.
+func newUnifySearch(g *graph, c lr.Conflict, costs CostModel, allowedState []bool, maxConfigs int, maxArena int64, mem *searchMem) *unifySearch {
+	mem.resetSearch()
+	return &unifySearch{
 		g: g, costs: costs, c: c,
 		tIdx:         g.a.G.TermIndex(c.Sym),
 		allowedState: allowedState,
 		maxConfigs:   maxConfigs,
 		maxArena:     maxArena,
 		mem:          mem,
+		frontier:     &mem.heap,
 	}
-	if fifo {
-		u.frontier = &mem.buckets
-	} else {
-		u.frontier = &mem.heap
-	}
-	u.x = expander{g: u.g, costs: u.costs, tIdx: u.tIdx, allowedState: u.allowedState, mem: u.mem}
-	return u
 }
 
 // stats snapshots the search's contribution to SearchStats.
@@ -337,18 +293,16 @@ func (u *unifySearch) run(ctx context.Context) *unifyResult {
 			res.deriv2 = cloneDeriv(res.deriv2)
 			return res
 		}
-		// Generation and admission are split: the expander emits this
+		// Generation and admission are split: expand emits this
 		// configuration's successor candidates into a buffer, and push —
 		// the only step that consults the visited table — admits them in
-		// emission order. Buffering is unobservable here (candidate content
-		// never depends on dedup state) and is what lets the
-		// level-synchronous mode run the same generation code speculatively
-		// on worker goroutines.
-		u.x.out = u.mem.emitBuf[:0]
-		u.x.expand(c)
-		u.mem.emitBuf = u.x.out
-		for i := range u.x.out {
-			u.push(&u.x.out[i])
+		// emission order. Candidate content never depends on dedup state,
+		// so the split is unobservable.
+		u.out = u.mem.emitBuf[:0]
+		u.expand(c)
+		u.mem.emitBuf = u.out
+		for i := range u.out {
+			u.push(&u.out[i])
 		}
 	}
 	return nil
@@ -373,72 +327,6 @@ func (u *unifySearch) seed() bool {
 		orig1: 0, orig2: 0,
 	})
 	return true
-}
-
-// runLevelSync is run in the level-synchronous parallel mode (Options.
-// IntraWorkers ≥ 2): the frontier is drained one closed cost level at a time,
-// the whole level is expanded speculatively by grp's worker group (generation
-// reads only the immutable graph and the configurations themselves, never the
-// visited table, so it parallelizes without changing what is generated), and
-// the successor batches are merged back on this goroutine in level order —
-// reproducing, check for check, the state evolution the sequential loop's
-// admission path would have produced for the same pop order. Reports are
-// therefore byte-identical for every worker count; under the FIFO frontier
-// the level order equals the sequential pop order and the results match the
-// sequential mode exactly, while the heap frontier's level drain is a
-// deterministic equal-cost tie-break of its own (see frontier.go).
-func (u *unifySearch) runLevelSync(ctx context.Context, grp *intraGroup) *unifyResult {
-	defer grp.stop()
-	if !u.seed() {
-		return nil
-	}
-
-	for u.frontier.size() > 0 {
-		u.mem.levelBuf = u.frontier.drainLevel(u.mem.levelBuf)
-		level := u.mem.levelBuf
-		batches, ok := grp.expandLevel(level)
-		if !ok {
-			u.Cancelled = true
-			return nil
-		}
-		for i, c := range level {
-			// The per-item checks mirror the sequential loop exactly — same
-			// order, same counters — so the deterministic limits (MaxConfigs,
-			// MaxArenaBytes) cut the search at the same configuration. The
-			// speculative batches of the items after the cut are discarded
-			// unmerged, just as the sequential loop would never have expanded
-			// those configurations.
-			if u.Expanded%checkEvery == 0 && ctx.Err() != nil {
-				u.Cancelled = true
-				return nil
-			}
-			if u.maxConfigs > 0 && u.Expanded >= u.maxConfigs {
-				u.Capped = true
-				return nil
-			}
-			if u.maxArena > 0 && u.mem.ac.bytes() > u.maxArena {
-				u.MemCapped = true
-				return nil
-			}
-			u.Expanded++
-			if res := u.success(c); res != nil {
-				res.deriv1 = cloneDeriv(res.deriv1)
-				res.deriv2 = cloneDeriv(res.deriv2)
-				return res
-			}
-			// Merge: fold the batch's cell allocations into the merge-side
-			// counter (only merged batches count, so AllocBytes is
-			// independent of the worker count) and admit the candidates in
-			// generation order.
-			b := &batches[i]
-			u.mem.ac.icells += b.icells
-			u.mem.ac.dcells += b.dcells
-			for j := range b.succs {
-				u.push(&b.succs[j])
-			}
-		}
-	}
-	return nil
 }
 
 // success checks the completion condition of Section 5.4: both item
@@ -470,53 +358,30 @@ func (u *unifySearch) success(c *config) *unifyResult {
 	return &unifyResult{nonterminal: d1.Sym, deriv1: d1, deriv2: d2, dot: c.revTrans}
 }
 
-// expander generates successor configurations (Figure 10). It is the
-// generation half of the search, deliberately split from admission (push):
-// candidate content depends only on the expanded configuration, the immutable
-// graph, and the cost model — never on the visited table or the frontier — so
-// an expander can run speculatively on a worker goroutine against its own
-// memory. The sequential path uses one expander over the search's own mem;
-// the level-synchronous mode builds one per worker-group slot.
-type expander struct {
-	g     *graph
-	costs CostModel
-	tIdx  int // dense index of the conflict terminal
-
-	// allowedState restricts joint reverse transitions (shared, read-only).
-	allowedState []bool
-
-	// mem supplies the cells and derivations of emitted candidates; each
-	// expander owns its mem exclusively while a level is in flight.
-	mem *searchMem
-
-	// out receives the candidates in emission order.
-	out []config
-}
-
 // emit appends a successor candidate. It writes the fields into the buffer
 // slot in place: building a config value and appending it would move all 96
 // bytes a second time per candidate.
-func (e *expander) emit(s1, s2 side, cost, revTrans, orig1, orig2 int) {
-	if len(e.out) < cap(e.out) {
-		e.out = e.out[:len(e.out)+1]
+func (u *unifySearch) emit(s1, s2 side, cost, revTrans, orig1, orig2 int) {
+	if len(u.out) < cap(u.out) {
+		u.out = u.out[:len(u.out)+1]
 	} else {
-		e.out = append(e.out, config{})
+		u.out = append(u.out, config{})
 	}
-	p := &e.out[len(e.out)-1]
+	p := &u.out[len(u.out)-1]
 	p.s1, p.s2 = s1, s2
 	p.cost, p.revTrans, p.orig1, p.orig2 = cost, revTrans, orig1, orig2
 }
 
-// expand generates the successor configurations of Figure 10 into e.out. The
+// expand generates the successor configurations of Figure 10 into u.out. The
 // faults injection point at the top simulates a search-core bug
 // mid-expansion; with the subsystem disabled (the default) it is a single
 // atomic load.
-func (e *expander) expand(c *config) {
+func (u *unifySearch) expand(c *config) {
 	faults.PanicAt(faults.CoreUnifyExpand)
-	g := e.g
+	g := u.g
 	a := g.a
 	gr := a.G
-	maxOcc := int32(e.costs.MaxItemOccurrences)
+	maxOcc := int32(u.costs.MaxItemOccurrences)
 
 	last1 := c.s1.last()
 	last2 := c.s2.last()
@@ -528,9 +393,9 @@ func (e *expander) expand(c *config) {
 		m1, m2 := g.fwdTrans[last1], g.fwdTrans[last2]
 		if m1 != noNode && m2 != noNode &&
 			c.s1.count(m1) < maxOcc && c.s2.count(m2) < maxOcc {
-			e.emit(c.s1.withAppended(m1, g.leafOf(d1), e.mem),
-				c.s2.withAppended(m2, g.leafOf(d1), e.mem),
-				c.cost+e.costs.Shift, c.revTrans, c.orig1, c.orig2)
+			u.emit(c.s1.withAppended(m1, g.leafOf(d1), u.mem),
+				c.s2.withAppended(m2, g.leafOf(d1), u.mem),
+				c.cost+u.costs.Shift, c.revTrans, c.orig1, c.orig2)
 		}
 	}
 
@@ -548,11 +413,11 @@ func (e *expander) expand(c *config) {
 			if occ >= maxOcc {
 				continue
 			}
-			cost := c.cost + e.costs.ProdStep
+			cost := c.cost + u.costs.ProdStep
 			if occ > 0 {
-				cost += e.costs.DupProdStep
+				cost += u.costs.DupProdStep
 			}
-			e.emit(c.s1.withAppended(m, nil, e.mem), c.s2, cost, c.revTrans, c.orig1, c.orig2)
+			u.emit(c.s1.withAppended(m, nil, u.mem), c.s2, cost, c.revTrans, c.orig1, c.orig2)
 		}
 	}
 	if !aligned && d2 != grammar.NoSym && !gr.IsTerminal(d2) {
@@ -561,29 +426,29 @@ func (e *expander) expand(c *config) {
 			if occ >= maxOcc {
 				continue
 			}
-			cost := c.cost + e.costs.ProdStep
+			cost := c.cost + u.costs.ProdStep
 			if occ > 0 {
-				cost += e.costs.DupProdStep
+				cost += u.costs.DupProdStep
 			}
-			e.emit(c.s1, c.s2.withAppended(m, nil, e.mem), cost, c.revTrans, c.orig1, c.orig2)
+			u.emit(c.s1, c.s2.withAppended(m, nil, u.mem), cost, c.revTrans, c.orig1, c.orig2)
 		}
 	}
 
 	// Reductions (Figure 10(f)) on either side, when enough items are
 	// present; otherwise preparation steps below supply context.
-	need1 := e.tryReduce(c, 1)
-	need2 := e.tryReduce(c, 2)
+	need1 := u.tryReduce(c, 1)
+	need2 := u.tryReduce(c, 2)
 
 	if need1 || need2 {
-		e.prepare(c)
+		u.prepare(c)
 	}
 }
 
 // tryReduce attempts a reduction on the given side; it returns true when the
 // side's last item is a reduce item that still lacks context items (so the
 // caller should generate preparation steps).
-func (e *expander) tryReduce(c *config, which int) (needsPrep bool) {
-	g := e.g
+func (u *unifySearch) tryReduce(c *config, which int) (needsPrep bool) {
+	g := u.g
 	a := g.a
 	gr := a.G
 
@@ -628,20 +493,20 @@ func (e *expander) tryReduce(c *config, which int) (needsPrep bool) {
 	if s.numDerivs() < l {
 		return false // defensive; structurally unreachable
 	}
-	children := e.mem.children.alloc(int(l))
-	tree := e.mem.newDeriv(Deriv{Sym: gr.Production(pid).LHS, Prod: pid, Children: children})
-	ns := s.reduced(l+1, l, gotoNode, tree, children, e.mem)
+	children := u.mem.children.alloc(int(l))
+	tree := u.mem.newDeriv(Deriv{Sym: gr.Production(pid).LHS, Prod: pid, Children: children})
+	ns := s.reduced(l+1, l, gotoNode, tree, children, u.mem)
 
 	newOrig := orig
 	if int32(orig) >= m-l-1 {
 		newOrig = -1 // the reduction consumed the original conflict item
 	}
 
-	cost := c.cost + e.costs.Reduce
+	cost := c.cost + u.costs.Reduce
 	if which == 1 {
-		e.emit(ns, o, cost, c.revTrans, newOrig, origOther)
+		u.emit(ns, o, cost, c.revTrans, newOrig, origOther)
 	} else {
-		e.emit(o, ns, cost, c.revTrans, origOther, newOrig)
+		u.emit(o, ns, cost, c.revTrans, origOther, newOrig)
 	}
 	return false
 }
@@ -649,10 +514,10 @@ func (e *expander) tryReduce(c *config, which int) (needsPrep bool) {
 // prepare generates the backward actions of Figures 10(c)–(e): joint reverse
 // transitions when both heads have consumed a symbol, and per-side reverse
 // production steps when a head sits at the start of its production.
-func (e *expander) prepare(c *config) {
-	g := e.g
+func (u *unifySearch) prepare(c *config) {
+	g := u.g
 	a := g.a
-	maxOcc := int32(e.costs.MaxItemOccurrences)
+	maxOcc := int32(u.costs.MaxItemOccurrences)
 
 	head1, head2 := c.s1.first(), c.s2.first()
 	dot1 := a.Dot(g.itemOf(head1))
@@ -665,12 +530,12 @@ func (e *expander) prepare(c *config) {
 		z := g.prevSym(head1)
 		for _, m1 := range g.revTrans[head1] {
 			st := g.stateOf(m1)
-			if e.allowedState != nil && !e.allowedState[st] {
+			if u.allowedState != nil && !u.allowedState[st] {
 				continue
 			}
 			// Stage 1 guard: the item prepended to the first parser must
 			// still admit the conflict terminal (Section 5.3).
-			if !c.stage1Done() && !g.lookaheadOf(m1).Has(e.tIdx) {
+			if !c.stage1Done() && !g.lookaheadOf(m1).Has(u.tIdx) {
 				continue
 			}
 			if c.s1.count(m1) >= maxOcc {
@@ -683,9 +548,9 @@ func (e *expander) prepare(c *config) {
 				if c.s2.count(m2) >= maxOcc {
 					continue
 				}
-				e.emit(c.s1.withPrepended(m1, g.leafOf(z), e.mem),
-					c.s2.withPrepended(m2, g.leafOf(z), e.mem),
-					c.cost+e.costs.RevShift, c.revTrans+1, bump(c.orig1), bump(c.orig2))
+				u.emit(c.s1.withPrepended(m1, g.leafOf(z), u.mem),
+					c.s2.withPrepended(m2, g.leafOf(z), u.mem),
+					c.cost+u.costs.RevShift, c.revTrans+1, bump(c.orig1), bump(c.orig2))
 			}
 		}
 	}
@@ -696,18 +561,18 @@ func (e *expander) prepare(c *config) {
 		// followL of the prepended item (not its plain item lookahead, which
 		// describes what follows the *whole* production).
 		for _, m := range g.revProdSteps[head1] {
-			if !c.stage1Done() && !g.followHas(g.itemOf(m), g.lookaheadOf(m), e.tIdx) {
+			if !c.stage1Done() && !g.followHas(g.itemOf(m), g.lookaheadOf(m), u.tIdx) {
 				continue
 			}
 			occ := c.s1.count(m)
 			if occ >= maxOcc {
 				continue
 			}
-			cost := c.cost + e.costs.RevProdStep
+			cost := c.cost + u.costs.RevProdStep
 			if occ > 0 {
-				cost += e.costs.DupProdStep
+				cost += u.costs.DupProdStep
 			}
-			e.emit(c.s1.withPrepended(m, nil, e.mem), c.s2, cost, c.revTrans, bump(c.orig1), c.orig2)
+			u.emit(c.s1.withPrepended(m, nil, u.mem), c.s2, cost, c.revTrans, bump(c.orig1), c.orig2)
 		}
 	}
 	if dot2 == 0 {
@@ -717,11 +582,11 @@ func (e *expander) prepare(c *config) {
 			if occ >= maxOcc {
 				continue
 			}
-			cost := c.cost + e.costs.RevProdStep
+			cost := c.cost + u.costs.RevProdStep
 			if occ > 0 {
-				cost += e.costs.DupProdStep
+				cost += u.costs.DupProdStep
 			}
-			e.emit(c.s1, c.s2.withPrepended(m, nil, e.mem), cost, c.revTrans, c.orig1, bump(c.orig2))
+			u.emit(c.s1, c.s2.withPrepended(m, nil, u.mem), cost, c.revTrans, c.orig1, bump(c.orig2))
 		}
 	}
 }

@@ -12,7 +12,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -58,15 +57,6 @@ type AnalyzeOptions struct {
 	// example instead of risking the process. Deterministic (measured by
 	// the search's own byte accounting), so it is part of the cache key.
 	MaxArenaBytes int64 `json:"max_arena_bytes,omitempty"`
-	// FIFOFrontier selects the bucket-queue frontier (different — equally
-	// minimal — witnesses on a handful of equal-cost ties).
-	FIFOFrontier bool `json:"fifo_frontier,omitempty"`
-	// IntraWorkers is the per-conflict worker count of the level-synchronous
-	// search (0 = server default; 1 forces the classic sequential loop; ≥ 2
-	// selects level-synchronous expansion). Reports are byte-identical across
-	// every count ≥ 2, so only the mode — sequential vs level-synchronous —
-	// joins the cache key, not the count.
-	IntraWorkers int `json:"intra_workers,omitempty"`
 	// Kinds filters the returned examples: "unifying", "nonunifying", or
 	// both (empty = both). Conflicts are always listed.
 	Kinds []string `json:"kinds,omitempty"`
@@ -77,22 +67,25 @@ type AnalyzeOptions struct {
 }
 
 // optionsKey renders the report-affecting options canonically for the cache
-// key. Parallelism and DeadlineMS are deliberately excluded: they change
-// wall-clock, not (complete) answers, and partial reports are never cached.
+// key: equivalent spellings of one request share a key. Parallelism and
+// DeadlineMS are deliberately excluded: they change wall-clock, not
+// (complete) answers, and partial reports are never cached. The time limits
+// are dropped under NoTimeout, which overrides them (see finderOptions), and
+// Kinds enters as the set of kinds wantKind lets through, not as spelled.
 func (o AnalyzeOptions) optionsKey() string {
-	kinds := append([]string(nil), o.Kinds...)
-	sort.Strings(kinds)
-	// IntraWorkers is canonicalized to its three observable classes — server
-	// default (0), forced sequential (1), level-synchronous (≥ 2) — because
-	// level-synchronous reports are byte-identical at every worker count: a
-	// request at intra=4 may reuse the report computed at intra=8.
-	intra := o.IntraWorkers
-	if intra > 2 {
-		intra = 2
+	pc, cum := o.PerConflictTimeoutMS, o.CumulativeTimeoutMS
+	if o.NoTimeout {
+		pc, cum = 0, 0
 	}
-	return fmt.Sprintf("pc=%d|cum=%d|nt=%t|ext=%t|max=%d|arena=%d|fifo=%t|intra=%d|kinds=%s",
-		o.PerConflictTimeoutMS, o.CumulativeTimeoutMS, o.NoTimeout,
-		o.ExtendedSearch, o.MaxConfigs, o.MaxArenaBytes, o.FIFOFrontier, intra, strings.Join(kinds, ","))
+	kinds := ""
+	if o.wantKind(core.Unifying) {
+		kinds += "u"
+	}
+	if o.wantKind(core.NonunifyingExhausted) {
+		kinds += "n"
+	}
+	return fmt.Sprintf("pc=%d|cum=%d|nt=%t|ext=%t|max=%d|arena=%d|kinds=%s",
+		pc, cum, o.NoTimeout, o.ExtendedSearch, o.MaxConfigs, o.MaxArenaBytes, kinds)
 }
 
 // validate rejects malformed options (unknown kinds, negative numbers).
@@ -103,7 +96,7 @@ func (o AnalyzeOptions) validate() error {
 		}
 	}
 	if o.PerConflictTimeoutMS < 0 || o.CumulativeTimeoutMS < 0 || o.DeadlineMS < 0 ||
-		o.Parallelism < 0 || o.IntraWorkers < 0 || o.MaxConfigs < 0 || o.MaxArenaBytes < 0 {
+		o.Parallelism < 0 || o.MaxConfigs < 0 || o.MaxArenaBytes < 0 {
 		return fmt.Errorf("options must be non-negative (use no_timeout to disable limits)")
 	}
 	return nil
@@ -143,9 +136,6 @@ func (o AnalyzeOptions) finderOptions(base core.Options) core.Options {
 	if o.Parallelism > 0 {
 		opts.Parallelism = o.Parallelism
 	}
-	if o.IntraWorkers > 0 {
-		opts.IntraWorkers = o.IntraWorkers
-	}
 	if o.MaxConfigs > 0 {
 		opts.MaxConfigs = o.MaxConfigs
 	}
@@ -153,7 +143,6 @@ func (o AnalyzeOptions) finderOptions(base core.Options) core.Options {
 		opts.MaxArenaBytes = o.MaxArenaBytes
 	}
 	opts.ExtendedSearch = o.ExtendedSearch
-	opts.FIFOFrontier = o.FIFOFrontier
 	return opts
 }
 

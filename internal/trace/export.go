@@ -76,7 +76,7 @@ func (s *Span) depth() int {
 // indented by depth, carrying the span's name, sequence number, ID, and its
 // non-volatile attributes in insertion order. Wall-clock and volatile
 // attributes are excluded, so two runs of the same pipeline under the same
-// trace ID — at any -j/-intra worker count, or replaying the same fault
+// trace ID — at any -j worker count, or replaying the same fault
 // seed — render byte-identically.
 func (t *Trace) Canonical() string {
 	var b strings.Builder

@@ -24,7 +24,7 @@
 //     which is deterministic because they are sequential. The canonical
 //     rendering (Trace.Canonical) sorts children by sequence and omits
 //     timestamps and attributes marked volatile, so the canonical tree is
-//     byte-identical across -j/-intra worker counts and across replayed
+//     byte-identical across -j worker counts and across replayed
 //     fault schedules.
 //
 // Finished traces land in a bounded ring buffer (Tracer), which cexd serves

@@ -52,11 +52,11 @@ type (
 	// Deriv is a partial derivation tree within an Example.
 	Deriv = core.Deriv
 	// Options tunes the counterexample finder: time limits (see NoTimeout),
-	// Parallelism, ExtendedSearch, the deterministic MaxConfigs budget, the
-	// FIFOFrontier bucket queue, and the cost model. cmd/cexgen and
-	// cmd/cexeval expose every field through the shared flag surface in
-	// internal/cliflags; the analysis service exposes the same knobs as
-	// AnalyzeOptions JSON.
+	// Parallelism across conflicts, ExtendedSearch, the deterministic
+	// MaxConfigs and MaxArenaBytes budgets, and the cost model. cmd/cexgen
+	// and cmd/cexeval expose every field but the cost model through the
+	// shared flag surface in internal/cliflags; the analysis service exposes
+	// the same knobs as AnalyzeOptions JSON.
 	Options = core.Options
 	// CostModel weighs the product-parser search actions.
 	CostModel = core.CostModel

@@ -2,8 +2,8 @@
 # trace.sh — run the cextrace observability harness (the Table-1 corpus
 # through an in-process cexd with tracing armed) and emit BENCH_trace.json:
 # the long-pole report (top conflicts by search time, queue-wait vs compute
-# breakdown), the span-tree determinism verdict across the j{1,8}×intra{1,4}
-# matrix, and the measured overhead of tracing vs the untraced hot path.
+# breakdown), the span-tree determinism verdict across the j{1,8} matrix,
+# and the measured overhead of tracing vs the untraced hot path.
 # EXPERIMENTS.md quotes the numbers. A nonzero exit means a span tree
 # diverged between worker counts — the report is still written.
 #

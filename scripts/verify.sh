@@ -20,8 +20,7 @@
 #           response, an unhealthy boot, a report that differs from the
 #           never-killed control, or a cold warm-restart
 #   tier 9: cextrace smoke — a traced replay through an in-process cexd;
-#           fails if the span tree diverges anywhere in the
-#           j{1,8}×intra{1,4} matrix
+#           fails if the span tree at j=8 diverges from the one at j=1
 #   tier 10: benchmark gates — bench/ is its own Go module, so tier 1
 #           never reaches it; its tests and the -smoke run fail on a
 #           report that differs from its golden, a unifying example the
@@ -39,9 +38,10 @@ go test ./...
 
 echo "== tier 2: vet + race =="
 go vet ./...
-# -short trims the whole-grammar Java.2 corner points (tier 1 runs them
-# race-free); the intra-worker determinism matrices — the schedules the race
-# detector exists to check — run in full.
+# -short skips the long-pole work pins and trims the corpus-wide oracle and
+# random-grammar budgets (tier 1 runs them in full, race-free); the j{1,8}
+# determinism checks — parallel FindAll, span trees, the repair matrix — are
+# the schedules the race detector exists to check, and run in full.
 go test -race -short ./internal/core/... ./internal/eval/... ./internal/repair/... ./internal/server/... ./internal/persist/... ./internal/trace/...
 
 echo "== tier 3: fuzz smoke (${FUZZTIME}) =="
