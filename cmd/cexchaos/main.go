@@ -23,7 +23,7 @@
 // Usage:
 //
 //	cexchaos -seed 42 -rate 0.05 -passes 3 -out BENCH_chaos.json
-//	cexchaos -seed 1 -rate 0.05 -smoke -out /dev/null     # verify.sh tier 5
+//	cexchaos -seed 1 -rate 0.05 -smoke -out /dev/null     # verify.sh tier 4
 package main
 
 import (

@@ -25,7 +25,7 @@
 // Usage:
 //
 //	cexdiff -seeds 5 -out BENCH_diff.json          # full campaign
-//	cexdiff -smoke -out /dev/null                  # verify.sh tier 6
+//	cexdiff -smoke -out /dev/null                  # verify.sh tier 5
 package main
 
 import (

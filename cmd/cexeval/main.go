@@ -54,7 +54,6 @@ func main() {
 		effectiveness = flag.Bool("effectiveness", false, "Section 7.2 summary")
 		efficiency    = flag.Bool("efficiency", false, "Section 7.3 comparison")
 		scalability   = flag.Bool("scalability", false, "Section 7.4 summary")
-		speedup       = flag.Bool("speedup", false, "measure FindAll wall-clock at 1/2/4/8 workers")
 		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile    = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -95,8 +94,6 @@ func main() {
 	}
 
 	switch {
-	case *speedup:
-		runSpeedup(*category, opts)
 	case *grammarName != "":
 		runOne(ctx, *grammarName, opts)
 	case *fig5:
@@ -169,24 +166,6 @@ func printStats(rows []eval.Row) {
 	fmt.Printf("  %-12s %s\n", "TOTAL", total)
 	fmt.Printf("  phase times: parse %v, build %v, search %v\n",
 		parse.Round(time.Millisecond), build.Round(time.Millisecond), search.Round(time.Millisecond))
-}
-
-// runSpeedup measures the parallel-FindAll scaling on each grammar of the
-// chosen category: the same conflicts searched at 1, 2, 4, and 8 workers
-// under deterministic budgets (configuration cap instead of the wall clock)
-// so the per-conflict outcomes are provably identical across worker counts.
-func runSpeedup(category string, opts eval.Options) {
-	opts.Finder.PerConflictTimeout = core.NoTimeout
-	opts.Finder.CumulativeTimeout = core.NoTimeout
-	if opts.Finder.MaxConfigs == 0 {
-		opts.Finder.MaxConfigs = 200000
-	}
-	workers := []int{1, 2, 4, 8}
-	var rows []eval.Speedup
-	for _, e := range entriesFor(category) {
-		rows = append(rows, eval.MeasureSpeedup(e, opts, workers))
-	}
-	fmt.Print(eval.FormatSpeedup(rows))
 }
 
 func runOne(ctx context.Context, name string, opts eval.Options) {

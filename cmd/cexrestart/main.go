@@ -22,7 +22,7 @@
 // Usage:
 //
 //	cexrestart -kills 5 -out BENCH_restart.json
-//	cexrestart -smoke -out /dev/null     # verify.sh tier 8: 1 kill, small corpus
+//	cexrestart -smoke -out /dev/null     # verify.sh tier 7: 1 kill, small corpus
 package main
 
 import (

@@ -226,91 +226,3 @@ func fmtDur(d time.Duration) string {
 	}
 	return fmt.Sprintf("%.3fs", d.Seconds())
 }
-
-// Speedup records FindAll wall-clock on one grammar at several worker
-// counts, plus whether the per-conflict outcomes agreed across all of them
-// (they must, whenever the configured budgets are deterministic — see
-// core.Options.MaxConfigs and core.NoTimeout).
-type Speedup struct {
-	Name      string
-	Conflicts int
-	Workers   []int
-	Wall      []time.Duration
-	Match     bool
-	Err       error
-}
-
-// MeasureSpeedup runs FindAll on one grammar once per worker count and
-// compares every run's per-conflict ExampleKind sequence against the first
-// run's. The finder options are reused verbatim except for Parallelism.
-func MeasureSpeedup(e *corpus.Entry, opts Options, workers []int) Speedup {
-	sp := Speedup{Name: e.Name, Workers: workers, Match: true}
-	_, tbl, err := Build(e)
-	if err != nil {
-		sp.Err = err
-		return sp
-	}
-	sp.Conflicts = len(tbl.Conflicts)
-	var ref []core.ExampleKind
-	for _, w := range workers {
-		fopts := opts.Finder
-		fopts.Parallelism = w
-		f := core.NewFinder(tbl, fopts)
-		start := time.Now()
-		exs, err := f.FindAll()
-		sp.Wall = append(sp.Wall, time.Since(start))
-		if err != nil {
-			sp.Err = err
-			return sp
-		}
-		kinds := make([]core.ExampleKind, len(exs))
-		for i, ex := range exs {
-			kinds[i] = ex.Kind
-		}
-		if ref == nil {
-			ref = kinds
-			continue
-		}
-		for i := range kinds {
-			if kinds[i] != ref[i] {
-				sp.Match = false
-			}
-		}
-		runtime.GC()
-	}
-	return sp
-}
-
-// FormatSpeedup renders speedup rows: one wall-clock column per worker
-// count, plus the realized speedup of the last column over the first.
-func FormatSpeedup(rows []Speedup) string {
-	if len(rows) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-12s %10s", "Grammar", "#conflicts")
-	for _, w := range rows[0].Workers {
-		fmt.Fprintf(&sb, " %9s", fmt.Sprintf("j=%d", w))
-	}
-	fmt.Fprintf(&sb, " %8s %6s\n", "speedup", "match")
-	for _, r := range rows {
-		if r.Err != nil {
-			fmt.Fprintf(&sb, "%-12s ERROR: %v\n", r.Name, r.Err)
-			continue
-		}
-		fmt.Fprintf(&sb, "%-12s %10d", r.Name, r.Conflicts)
-		for _, w := range r.Wall {
-			fmt.Fprintf(&sb, " %9s", fmtDur(w))
-		}
-		speedup := "-"
-		if n := len(r.Wall); n > 1 && r.Wall[n-1] > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(r.Wall[0])/float64(r.Wall[n-1]))
-		}
-		match := "ok"
-		if !r.Match {
-			match = "DIFF"
-		}
-		fmt.Fprintf(&sb, " %8s %6s\n", speedup, match)
-	}
-	return sb.String()
-}

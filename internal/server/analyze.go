@@ -199,6 +199,7 @@ func statsJSON(s core.SearchStats) StatsJSON {
 // are zero when the compile cache supplied the grammar and its tables — the
 // phases simply did not run — so compile-cache effectiveness is directly
 // observable per response (and cumulatively via /metrics phase counters).
+// On a result-cache hit no phase ran at all: only TotalMS is nonzero.
 type Timings struct {
 	QueueMS  float64 `json:"queue_ms"`  // admission → worker pickup
 	ParseMS  float64 `json:"parse_ms"`  // GDL parse (pre-queue; 0 on a compile-cache hit)

@@ -7,22 +7,21 @@ import (
 )
 
 // modelLRU is a deliberately naive reference implementation: a slice ordered
-// most-recently-used first. The property test below drives resultCache and
-// the model with the same operation stream and demands identical observable
-// behavior.
-type modelLRU struct {
+// most-recently-used first. The property test below drives lru and the model
+// with the same operation stream and demands identical observable behavior.
+type modelLRU[V any] struct {
 	max  int
 	keys []string // front = MRU
-	vals map[string]*AnalyzeResponse
+	vals map[string]V
 
 	hits, misses, evictions int64
 }
 
-func newModelLRU(max int) *modelLRU {
-	return &modelLRU{max: max, vals: make(map[string]*AnalyzeResponse)}
+func newModelLRU[V any](max int) *modelLRU[V] {
+	return &modelLRU[V]{max: max, vals: make(map[string]V)}
 }
 
-func (m *modelLRU) index(key string) int {
+func (m *modelLRU[V]) index(key string) int {
 	for i, k := range m.keys {
 		if k == key {
 			return i
@@ -31,17 +30,18 @@ func (m *modelLRU) index(key string) int {
 	return -1
 }
 
-func (m *modelLRU) get(key string) (*AnalyzeResponse, bool) {
+func (m *modelLRU[V]) get(key string) (V, bool) {
 	if i := m.index(key); i >= 0 {
 		m.keys = append([]string{key}, append(append([]string{}, m.keys[:i]...), m.keys[i+1:]...)...)
 		m.hits++
 		return m.vals[key], true
 	}
 	m.misses++
-	return nil, false
+	var zero V
+	return zero, false
 }
 
-func (m *modelLRU) add(key string, val *AnalyzeResponse) {
+func (m *modelLRU[V]) add(key string, val V) {
 	if m.max <= 0 {
 		return
 	}
@@ -60,49 +60,56 @@ func (m *modelLRU) add(key string, val *AnalyzeResponse) {
 	}
 }
 
-// TestCacheLRUProperty runs randomized get/add streams against the cache and
-// the reference model, checking results, recency order, and counters after
-// every operation.
+// TestCacheLRUProperty runs randomized get/add streams against both of the
+// server's instantiations — the result cache's lru[any] and the compile
+// cache's lru[*compiledGrammar] — and the reference model, checking results,
+// recency order, and counters after every operation.
 func TestCacheLRUProperty(t *testing.T) {
 	for _, cap := range []int{1, 2, 3, 7, 16} {
 		cap := cap
 		t.Run(fmt.Sprintf("cap%d", cap), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(0x5eed + cap)))
-			c := newResultCache(cap)
-			m := newModelLRU(cap)
-			keyspace := make([]string, 2*cap+3)
-			vals := make(map[string]*AnalyzeResponse, len(keyspace))
-			for i := range keyspace {
-				keyspace[i] = fmt.Sprintf("k%02d", i)
-				vals[keyspace[i]] = &AnalyzeResponse{Name: keyspace[i]}
-			}
-			for op := 0; op < 4000; op++ {
-				key := keyspace[rng.Intn(len(keyspace))]
-				if rng.Intn(2) == 0 {
-					got, ok := c.get(key)
-					want, wok := m.get(key)
-					// The cache returns any, the model *AnalyzeResponse:
-					// compare values only on a hit (a miss's untyped nil
-					// interface is not the model's typed nil).
-					if ok != wok || (ok && got != any(want)) {
-						t.Fatalf("op %d: get(%s) = (%v, %v), model (%v, %v)", op, key, got, ok, want, wok)
-					}
-				} else {
-					c.add(key, vals[key])
-					m.add(key, vals[key])
-				}
-				if got, want := c.keysMRU(), m.keys; fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("op %d: recency order %v, model %v", op, got, want)
-				}
-				h, mi, ev := c.counters()
-				if h != m.hits || mi != m.misses || ev != m.evictions {
-					t.Fatalf("op %d: counters (%d,%d,%d), model (%d,%d,%d)", op, h, mi, ev, m.hits, m.misses, m.evictions)
-				}
-				if c.len() > cap {
-					t.Fatalf("op %d: len %d exceeds capacity %d", op, c.len(), cap)
-				}
-			}
+			t.Run("result", func(t *testing.T) {
+				checkLRUProperty(t, cap, func(key string) any { return &AnalyzeResponse{Name: key} })
+			})
+			t.Run("compile", func(t *testing.T) {
+				checkLRUProperty(t, cap, func(key string) *compiledGrammar { return &compiledGrammar{name: key} })
+			})
 		})
+	}
+}
+
+func checkLRUProperty[V comparable](t *testing.T, cap int, mk func(key string) V) {
+	rng := rand.New(rand.NewSource(int64(0x5eed + cap)))
+	c := newLRU[V](cap)
+	m := newModelLRU[V](cap)
+	keyspace := make([]string, 2*cap+3)
+	vals := make(map[string]V, len(keyspace))
+	for i := range keyspace {
+		keyspace[i] = fmt.Sprintf("k%02d", i)
+		vals[keyspace[i]] = mk(keyspace[i])
+	}
+	for op := 0; op < 4000; op++ {
+		key := keyspace[rng.Intn(len(keyspace))]
+		if rng.Intn(2) == 0 {
+			got, ok := c.get(key)
+			want, wok := m.get(key)
+			if ok != wok || (ok && got != want) {
+				t.Fatalf("op %d: get(%s) = (%v, %v), model (%v, %v)", op, key, got, ok, want, wok)
+			}
+		} else {
+			c.add(key, vals[key])
+			m.add(key, vals[key])
+		}
+		if got, want := c.keysMRU(), m.keys; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("op %d: recency order %v, model %v", op, got, want)
+		}
+		h, mi, ev := c.counters()
+		if h != m.hits || mi != m.misses || ev != m.evictions {
+			t.Fatalf("op %d: counters (%d,%d,%d), model (%d,%d,%d)", op, h, mi, ev, m.hits, m.misses, m.evictions)
+		}
+		if c.len() > cap {
+			t.Fatalf("op %d: len %d exceeds capacity %d", op, c.len(), cap)
+		}
 	}
 }
 
@@ -110,7 +117,7 @@ func TestCacheLRUProperty(t *testing.T) {
 // pass-through: adds are dropped, gets always miss.
 func TestCacheDisabled(t *testing.T) {
 	for _, max := range []int{0, -5} {
-		c := newResultCache(max)
+		c := newLRU[any](max)
 		c.add("a", &AnalyzeResponse{})
 		if _, ok := c.get("a"); ok {
 			t.Fatalf("max=%d: get hit after add; want disabled cache to drop entries", max)
@@ -124,7 +131,7 @@ func TestCacheDisabled(t *testing.T) {
 // TestCacheRefreshOnAdd checks that re-adding an existing key updates the
 // value in place without growing the cache or evicting.
 func TestCacheRefreshOnAdd(t *testing.T) {
-	c := newResultCache(2)
+	c := newLRU[any](2)
 	v1, v2 := &AnalyzeResponse{Name: "one"}, &AnalyzeResponse{Name: "two"}
 	c.add("a", v1)
 	c.add("b", v1)

@@ -1,9 +1,6 @@
 package server
 
 import (
-	"container/list"
-	"sync"
-
 	"lrcex/internal/core"
 	"lrcex/internal/grammar"
 )
@@ -21,110 +18,4 @@ type compiledGrammar struct {
 	// (re-parsing the same bytes replays the same symbol interning).
 	name string
 	src  string
-}
-
-// compileCache is a mutex-guarded LRU over compiled grammars, keyed by the
-// canonical grammar fingerprint ALONE — unlike the result cache, whose key is
-// fingerprint × report-affecting options. The split is deliberate: the result
-// cache answers "have I seen this exact question", the compile cache answers
-// "have I seen this grammar". A request with novel options (or a mutated
-// grammar whose canonical form is unchanged — comments, whitespace, rule
-// reordering the fingerprint normalizes away) misses the result cache but
-// still skips the GDL parse, the automaton construction, and the graph build.
-type compileCache struct {
-	mu        sync.Mutex
-	max       int
-	ll        *list.List // front = most recently used
-	entries   map[string]*list.Element
-	hits      int64
-	misses    int64
-	evictions int64
-}
-
-type compileEntry struct {
-	key string
-	val *compiledGrammar
-}
-
-// newCompileCache returns an LRU holding at most max entries; max <= 0
-// disables caching (every lookup misses, every add is dropped).
-func newCompileCache(max int) *compileCache {
-	return &compileCache{
-		max:     max,
-		ll:      list.New(),
-		entries: make(map[string]*list.Element),
-	}
-}
-
-// get returns the compiled grammar for fp, refreshing its recency.
-func (c *compileCache) get(fp string) (*compiledGrammar, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[fp]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*compileEntry).val, true
-	}
-	c.misses++
-	return nil, false
-}
-
-// add inserts (or refreshes) fp, evicting the least recently used entry when
-// the capacity is exceeded. Concurrent analyses of the same grammar may both
-// build and add; last write wins and both artifacts are valid.
-func (c *compileCache) add(fp string, val *compiledGrammar) {
-	if c.max <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[fp]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*compileEntry).val = val
-		return
-	}
-	c.entries[fp] = c.ll.PushFront(&compileEntry{key: fp, val: val})
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*compileEntry).key)
-		c.evictions++
-	}
-}
-
-// dumpLRU returns the entries from least to most recently used (the
-// persistence snapshot's replay order; see resultCache.dumpLRU).
-func (c *compileCache) dumpLRU() []compileEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]compileEntry, 0, c.ll.Len())
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		out = append(out, *el.Value.(*compileEntry))
-	}
-	return out
-}
-
-// keysMRU returns the fingerprints from most to least recently used (tests).
-func (c *compileCache) keysMRU() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*compileEntry).key)
-	}
-	return out
-}
-
-// len returns the current entry count.
-func (c *compileCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// counters returns (hits, misses, evictions).
-func (c *compileCache) counters() (hits, misses, evictions int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
 }

@@ -128,7 +128,7 @@ func TestCompileCacheDisabled(t *testing.T) {
 
 // TestCompileCacheLRU exercises the cache's own LRU mechanics without HTTP.
 func TestCompileCacheLRU(t *testing.T) {
-	c := newCompileCache(2)
+	c := newLRU[*compiledGrammar](2)
 	a, b, d := &compiledGrammar{}, &compiledGrammar{}, &compiledGrammar{}
 	c.add("a", a)
 	c.add("b", b)

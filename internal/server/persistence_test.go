@@ -120,7 +120,7 @@ func TestPersistPreservesEvictionOrder(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(0xd15c + capN)))
 
 			s1 := New(Config{CacheEntries: capN, StateDir: dir, SnapshotInterval: time.Hour})
-			model := newModelLRU(capN)
+			model := newModelLRU[*AnalyzeResponse](capN)
 			keys := make([]string, 12)
 			for i := range keys {
 				keys[i] = fmt.Sprintf("k%02d", i)

@@ -88,6 +88,10 @@ func TestRepairCache(t *testing.T) {
 	if !second.Cached {
 		t.Fatal("identical resubmission not served from cache")
 	}
+	if first.Timings.SearchMS <= 0 {
+		t.Fatalf("miss reports search_ms %v, want > 0", first.Timings.SearchMS)
+	}
+	checkHitTimings(t, second.Timings)
 	if second.Repair == nil || second.Repair.Validated != first.Repair.Validated {
 		t.Fatalf("cached repair half differs: %+v vs %+v", second.Repair, first.Repair)
 	}

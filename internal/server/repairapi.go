@@ -142,6 +142,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 			s.m.repairCacheHits.Add(1)
 			resp := *cached.(*RepairResponse) // shallow copy: slices are shared, immutable
 			resp.Cached = true
+			resp.Timings = Timings{} // no phase ran; respondRepair stamps TotalMS
 			s.respondRepair(w, start, http.StatusOK, &resp, outcomeCacheHit)
 			return
 		}

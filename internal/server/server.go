@@ -143,10 +143,22 @@ func (e *RequestTooLargeError) Error() string {
 // Server is the analysis service. Create with New, mount Handler on an
 // http.Server, and call Shutdown to drain.
 type Server struct {
-	cfg     Config
-	log     *slog.Logger // never nil: a discard logger replaces Config.Logger == nil
-	cache   *resultCache
-	compile *compileCache
+	cfg Config
+	log *slog.Logger // never nil: a discard logger replaces Config.Logger == nil
+	// cache holds complete reports. Analysis and repair responses share it,
+	// disambiguated by key prefix ("repair|" + fingerprint × repair options
+	// vs fingerprint × options alone). Handlers copy the top-level struct
+	// before mutating it.
+	cache *lru[any]
+	// compile holds compiled grammars, keyed by the canonical grammar
+	// fingerprint ALONE, unlike cache, whose key is fingerprint ×
+	// report-affecting options. The split is deliberate: cache answers "have
+	// I seen this exact question", compile answers "have I seen this
+	// grammar". A request with novel options (or a mutated grammar whose
+	// canonical form is unchanged — comments, whitespace, rule reordering the
+	// fingerprint normalizes away) misses cache but still skips the GDL
+	// parse, the automaton construction, and the graph build.
+	compile *lru[*compiledGrammar]
 	sf      group
 	m       *metrics
 	health  *healthTracker
@@ -224,8 +236,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		log:     logger,
-		cache:   newResultCache(cfg.CacheEntries),
-		compile: newCompileCache(cfg.CompileEntries),
+		cache:   newLRU[any](cfg.CacheEntries),
+		compile: newLRU[*compiledGrammar](cfg.CompileEntries),
 		m:       newMetrics(),
 		health:  newHealthTracker(),
 		jobs:    make(chan *job, cfg.QueueDepth),
@@ -789,6 +801,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			lookup.End()
 			resp := *cached.(*AnalyzeResponse) // shallow copy: slices are shared, immutable
 			resp.Cached = true
+			resp.Timings = Timings{} // no phase ran; respond stamps TotalMS
 			s.respond(w, start, http.StatusOK, &resp, outcomeCacheHit)
 			return
 		}

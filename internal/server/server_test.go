@@ -134,6 +134,10 @@ func TestCacheHitOnResubmission(t *testing.T) {
 	if len(second.Examples) != len(first.Examples) {
 		t.Fatal("cached report diverges from the original")
 	}
+	if first.Timings.SearchMS <= 0 {
+		t.Fatalf("miss reports search_ms %v, want > 0", first.Timings.SearchMS)
+	}
+	checkHitTimings(t, second.Timings)
 
 	// Canonical fingerprint: reformatting (comments, whitespace) still hits.
 	var third AnalyzeResponse
@@ -141,6 +145,7 @@ func TestCacheHitOnResubmission(t *testing.T) {
 	if !third.Cached {
 		t.Fatal("reformatted source missed the cache (fingerprint not canonical)")
 	}
+	checkHitTimings(t, third.Timings)
 
 	// Different options → different key → miss.
 	var fourth AnalyzeResponse
@@ -174,6 +179,19 @@ func TestCacheHitOnResubmission(t *testing.T) {
 		if !strings.Contains(scrape, want) {
 			t.Fatalf("metrics scrape missing %q:\n%s", want, scrape)
 		}
+	}
+}
+
+// checkHitTimings asserts a result-cache hit reports only the time it spent:
+// no queue, parse, table or search phase ran, so each must be zero and the
+// total must not be.
+func checkHitTimings(t *testing.T, tm Timings) {
+	t.Helper()
+	if tm.QueueMS != 0 || tm.ParseMS != 0 || tm.TableMS != 0 || tm.SearchMS != 0 {
+		t.Fatalf("cache hit reports phase timings for work it did not do: %+v", tm)
+	}
+	if tm.TotalMS <= 0 {
+		t.Fatalf("cache hit reports total_ms %v, want > 0", tm.TotalMS)
 	}
 }
 
