@@ -17,9 +17,14 @@ func DescribePath(tbl *lr.Table, c lr.Conflict) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: conflict reduce item not in state %d", c.State)
 	}
-	path, err := shortestLookaheadSensitivePath(context.Background(), g, &scratch{}, conflictNode, c.Sym)
+	target := laspTarget{conflictNode, c.Sym}
+	paths, _, err := lookaheadSensitivePaths(context.Background(), g, []laspTarget{target})
 	if err != nil {
 		return nil, err
+	}
+	path := paths[target]
+	if path == nil {
+		return nil, errUnreachableConflict
 	}
 
 	a := tbl.A

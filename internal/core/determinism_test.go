@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"context"
+	"errors"
+	"sync"
 	"testing"
 
 	"lrcex/internal/core"
@@ -62,5 +65,73 @@ func TestParallelDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestConcurrentFindContextSharesPaths: eight goroutines calling FindContext
+// on distinct conflicts of one fresh Finder race to run its one
+// shortest-path search. The answers must match FindAll's, and the path work
+// must match a sequential run's, so the search ran exactly once. A first
+// caller whose context is already cancelled gets its error and leaves
+// nothing memoized for the next caller.
+func TestConcurrentFindContextSharesPaths(t *testing.T) {
+	_, tbl := build(t, "Java.4")
+	opts := core.Options{
+		PerConflictTimeout: core.NoTimeout,
+		CumulativeTimeout:  core.NoTimeout,
+		MaxConfigs:         2000,
+		Parallelism:        1,
+	}
+	seq := core.NewFinder(tbl, opts)
+	exs, err := seq.FindAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := core.CanonicalReport(tbl.A, exs)
+
+	// findEach searches every conflict with FindContext from 8 goroutines,
+	// goroutine w taking conflicts w, w+8, ...
+	findEach := func(f *core.Finder) string {
+		const workers = 8
+		got := make([]*core.Example, len(tbl.Conflicts))
+		errs := make([]error, len(tbl.Conflicts))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < len(tbl.Conflicts); i += workers {
+					got[i], errs[i] = f.FindContext(context.Background(), tbl.Conflicts[i])
+				}
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("conflict %d: %v", i, err)
+			}
+		}
+		return core.CanonicalReport(tbl.A, got)
+	}
+
+	shared := core.NewFinder(tbl, opts)
+	if got := findEach(shared); got != ref {
+		t.Errorf("concurrent FindContext report differs from FindAll's:\n%s\nvs\n%s", got, ref)
+	}
+	if got, want := shared.Stats().PathExpanded, seq.Stats().PathExpanded; got != want {
+		t.Errorf("concurrent PathExpanded = %d, sequential %d: the shared path search did not run exactly once", got, want)
+	}
+
+	cancelled := core.NewFinder(tbl, opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := cancelled.FindContext(ctx, tbl.Conflicts[0]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("FindContext under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if got := findEach(cancelled); got != ref {
+		t.Errorf("report after a cancelled first call differs from FindAll's:\n%s\nvs\n%s", got, ref)
+	}
+	if got, want := cancelled.Stats().PathExpanded, seq.Stats().PathExpanded; got != want {
+		t.Errorf("PathExpanded after a cancelled first call = %d, sequential %d", got, want)
 	}
 }

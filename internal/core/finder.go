@@ -87,10 +87,14 @@ const (
 	// Unifying: a single string with two distinct derivations was found; the
 	// grammar is ambiguous.
 	Unifying ExampleKind = iota
-	// NonunifyingExhausted: the (possibly restricted) unifying search space
-	// was exhausted without success, so a nonunifying counterexample is
-	// reported. With ExtendedSearch this proves no unifying counterexample
-	// exists for this conflict.
+	// NonunifyingExhausted: the bounded unifying search space was exhausted
+	// without success, so a nonunifying counterexample is reported. The
+	// bounds are the search's own, not the grammar's: unless ExtendedSearch
+	// is set, reverse transitions stay on the states of the shortest
+	// lookahead-sensitive path, and every configuration is limited to
+	// CostModel.MaxItemOccurrences occurrences of one state item (default 4).
+	// So this proves only that no unifying counterexample exists within
+	// those bounds — not that the conflict is unambiguous.
 	NonunifyingExhausted
 	// NonunifyingTimeout: the unifying search hit its time or configuration
 	// limit; a nonunifying counterexample is reported instead.
@@ -159,15 +163,18 @@ type Example struct {
 	// the second reaches its reduction through a different merged context.
 	Merged bool
 
-	// Elapsed is the wall-clock time spent on this conflict; Expanded the
-	// number of configurations the unifying search expanded (also available,
-	// with the rest of the search counters, in Stats).
+	// Elapsed is the wall-clock time spent on this conflict's own work;
+	// Expanded the number of configurations the unifying search expanded
+	// (also available, with the rest of the search counters, in Stats). The
+	// shortest lookahead-sensitive path search that a Finder runs once for
+	// all its conflicts is in neither (see Finder.Stats).
 	Elapsed  time.Duration
 	Expanded int
 
 	// Stats itemizes the search work done for this conflict: unifying-search
-	// frontier traffic and allocation footprint plus the breadth-first path
-	// searches' expansions.
+	// frontier traffic and allocation footprint plus the expansions of the
+	// conflict's own breadth-first path searches (the other-side replay and
+	// the joint reduce/reduce path).
 	Stats SearchStats
 
 	// Recovered is non-nil when Kind is NonunifyingRecovered: the typed
@@ -206,7 +213,8 @@ type DegradedCounts struct {
 // kept as remaining nanoseconds in an atomic counter so parallel workers can
 // draw from one global pool without locking. A worker checks the bank before
 // starting a conflict's unifying search and charges its conflict's elapsed
-// wall-clock afterwards; once the balance goes non-positive, remaining
+// wall-clock afterwards (the first to finish also pays for the Finder's
+// shared path search); once the balance goes non-positive, remaining
 // conflicts take the NonunifyingSkipped path. The bank may go negative by up
 // to one per-conflict timeout per worker (the same overdraft the sequential
 // implementation — and the paper's — allows for the conflict in flight when
@@ -251,7 +259,7 @@ func (b *timeBank) remainingNanos() int64 {
 // returns (see graph), which is what makes one Finder safe to share across
 // goroutines.
 type scratch struct {
-	reach   []bool // reverse-reachability marks (lasp eligibility)
+	reach   []bool // reverse-reachability marks (joint reduce/reduce search)
 	reach2  []bool // second reachability buffer (joint reduce/reduce search)
 	allowed []bool // states on the shortest lookahead-sensitive path
 
@@ -260,14 +268,12 @@ type scratch struct {
 	// of once per completion attempt.
 	busy map[grammar.Sym]bool
 
-	// Visited sets and BFS order buffers of the three path searches, reused
-	// across conflicts (cleared, not reallocated).
-	laspVisited map[uint64]bool
-	laspOrder   []laspEntry
-	osVisited   map[osKey]bool
-	osOrder     []osEntry
-	jpVisited   map[jpKey]bool
-	jpOrder     []jpEntry
+	// Visited sets and BFS order buffers of the two per-conflict path
+	// searches, reused across conflicts (cleared, not reallocated).
+	osVisited map[osKey]bool
+	osOrder   []osEntry
+	jpVisited map[jpKey]bool
+	jpOrder   []jpEntry
 
 	// pathExpanded counts BFS expansions across the path searches of the
 	// conflict in flight; find resets it per conflict and folds it into
@@ -303,10 +309,12 @@ func (sc *scratch) allowedStates(numStates int, states []int) []bool {
 }
 
 // Finder finds counterexamples for the conflicts of one grammar. It builds
-// the state-item lookup tables once (Section 6, "Data structures") and keeps
+// the state-item lookup tables once (Section 6, "Data structures"), finds
+// every conflict's shortest lookahead-sensitive path in one search, and keeps
 // the cumulative time-bank across conflicts. A Finder is safe for concurrent
-// use: the graph and automaton are immutable after construction, and the
-// bank is atomic.
+// use: the graph and automaton are immutable after construction, the path
+// map is written once under a mutex and only read afterwards, and the bank is
+// atomic.
 type Finder struct {
 	tbl  *lr.Table
 	g    *graph
@@ -315,6 +323,15 @@ type Finder struct {
 
 	statsMu sync.Mutex
 	stats   SearchStats
+
+	// paths maps each table conflict's target to its shortest
+	// lookahead-sensitive path (nil when no path reaches it); nil until
+	// conflictPaths first succeeds. Guarded by pathsMu.
+	pathsMu sync.Mutex
+	paths   map[laspTarget]*laspPath
+	// pathsDebt is the path search's wall-clock (nanoseconds) not yet
+	// charged to the time bank; see chargeBank.
+	pathsDebt atomic.Int64
 
 	// Degradation-ladder tallies (atomic: workers update them concurrently).
 	recovered    atomic.Int64
@@ -342,6 +359,15 @@ func (f *Finder) Stats() SearchStats {
 	f.statsMu.Lock()
 	defer f.statsMu.Unlock()
 	return f.stats
+}
+
+// chargeBank withdraws a finished conflict's elapsed time from the time bank,
+// plus, for the first conflict to finish, the shared path search's. Charging
+// that search with the first conflict rather than ahead of it keeps the
+// bank's contract: it is checked before each unifying search and charged
+// after, so the first search is always admitted.
+func (f *Finder) chargeBank(d time.Duration) {
+	f.bank.charge(d + time.Duration(f.pathsDebt.Swap(0)))
 }
 
 // addStats folds one conflict's stats into the running totals.
@@ -375,6 +401,13 @@ func (f *Finder) FindAll() ([]*Example, error) {
 // failure (in conflict order) are returned alongside it.
 func (f *Finder) FindAllContext(ctx context.Context) ([]*Example, error) {
 	conflicts := f.tbl.Conflicts
+	if len(conflicts) > 0 {
+		// Before any worker starts: the shared search runs (and is traced)
+		// once, and the workers only read its result.
+		if _, err := f.conflictPaths(ctx); err != nil {
+			return nil, err
+		}
+	}
 	workers := f.opts.Parallelism
 	if workers > len(conflicts) {
 		workers = len(conflicts)
@@ -463,13 +496,15 @@ func conflictErr(tbl *lr.Table, c lr.Conflict, err error) error {
 // the conflict node's reverse-reachable set — the portion of the state-item
 // graph the searches can touch, which tracks search effort and is a pure
 // function of the grammar — so the order (ties broken by conflict index) is
-// deterministic. Results are always reported in conflict order regardless;
-// scheduling order only affects wall-clock, plus which conflicts a mid-run
-// cumulative-budget exhaustion skips — a boundary that is wall-clock-
-// dependent under parallelism no matter the order.
+// deterministic. Conflicts sharing a reduce-item node share the size, so one
+// reverse search runs per distinct node. Results are always reported in
+// conflict order regardless; scheduling order only affects wall-clock, plus
+// which conflicts a mid-run cumulative-budget exhaustion skips — a boundary
+// that is wall-clock-dependent under parallelism no matter the order.
 func (f *Finder) scheduleOrder(conflicts []lr.Conflict) []int {
 	order := make([]int, len(conflicts))
 	size := make([]int, len(conflicts))
+	sizeOf := make(map[node]int)
 	var seen []bool
 	for i, c := range conflicts {
 		order[i] = i
@@ -477,12 +512,17 @@ func (f *Finder) scheduleOrder(conflicts []lr.Conflict) []int {
 		if !ok {
 			continue
 		}
-		seen = f.g.reverseReachableInto(seen, n)
-		for _, b := range seen {
-			if b {
-				size[i]++
+		sz, ok := sizeOf[n]
+		if !ok {
+			seen = f.g.reverseReachableInto(seen, n)
+			for _, b := range seen {
+				if b {
+					sz++
+				}
 			}
+			sizeOf[n] = sz
 		}
+		size[i] = sz
 	}
 	sort.SliceStable(order, func(a, b int) bool { return size[order[a]] > size[order[b]] })
 	return order
@@ -494,8 +534,12 @@ func (f *Finder) Find(c lr.Conflict) (*Example, error) {
 }
 
 // FindContext is Find with cooperative cancellation. Concurrent FindContext
-// calls on one Finder are safe and share the cumulative time-bank.
+// calls on one Finder are safe and share the cumulative time-bank and the
+// path search, which the first call runs for every conflict of the table.
 func (f *Finder) FindContext(ctx context.Context, c lr.Conflict) (*Example, error) {
+	if _, err := f.conflictPaths(ctx); err != nil {
+		return nil, err
+	}
 	sc, _ := f.scPool.Get().(*scratch)
 	if sc == nil {
 		sc = &scratch{}
@@ -520,6 +564,81 @@ func (f *Finder) conflictIndex(c lr.Conflict) int {
 		}
 	}
 	return fallbackConflictSeq + c.State
+}
+
+// conflictPaths returns the shortest lookahead-sensitive path of every table
+// conflict, keyed by target (nil for a target no path reaches). The first
+// call runs one lookaheadSensitivePaths search over all the targets, in a
+// "search.lasp" span, and memoizes the map; a cancelled search is not
+// memoized, so the next call starts over. The search's pops are folded into
+// Finder.Stats and its wall-clock is charged to the time bank once, with the
+// first conflict to finish (chargeBank); no Example carries either. A panic
+// in the search is returned as an error: no one conflict owns the search, so
+// the per-conflict degradation ladder cannot contain it.
+func (f *Finder) conflictPaths(ctx context.Context) (_ map[laspTarget]*laspPath, err error) {
+	f.pathsMu.Lock()
+	defer f.pathsMu.Unlock()
+	if f.paths != nil {
+		return f.paths, nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: shortest-path search panicked: %v", r)
+		}
+	}()
+	start := time.Now()
+	var targets []laspTarget
+	for _, c := range f.tbl.Conflicts {
+		if n, ok := f.g.lookup(c.State, c.Item1); ok {
+			targets = append(targets, laspTarget{n, c.Sym})
+		}
+	}
+	span := trace.Child(ctx, "search.lasp")
+	paths, expanded, err := lookaheadSensitivePaths(ctx, f.g, targets)
+	if err != nil {
+		span.Set("error", err.Error())
+		span.End()
+		return nil, err
+	}
+	found := len(paths)
+	for _, t := range targets {
+		if _, ok := paths[t]; !ok {
+			paths[t] = nil
+		}
+	}
+	elapsed := time.Since(start)
+	span.Set("targets", len(paths))
+	span.Set("found", found)
+	span.SetVolatile("path_expanded", expanded)
+	span.SetVolatile("elapsed_ms", float64(elapsed)/float64(time.Millisecond))
+	span.End()
+	f.addStats(SearchStats{PathExpanded: expanded})
+	f.pathsDebt.Store(int64(elapsed))
+	f.paths = paths
+	return paths, nil
+}
+
+// pathTo returns the shortest lookahead-sensitive path to t: the memoized
+// one for a table conflict or, for a conflict not in the table, a one-target
+// run of the same search, whose pops count toward the conflict's own stats.
+func (f *Finder) pathTo(ctx context.Context, sc *scratch, t laspTarget) (*laspPath, error) {
+	paths, err := f.conflictPaths(ctx)
+	if err != nil {
+		return nil, err
+	}
+	p, ok := paths[t]
+	if !ok {
+		one, expanded, err := lookaheadSensitivePaths(ctx, f.g, []laspTarget{t})
+		sc.pathExpanded += expanded
+		if err != nil {
+			return nil, err
+		}
+		p = one[t]
+	}
+	if p == nil {
+		return nil, errUnreachableConflict
+	}
+	return p, nil
 }
 
 // findTraced wraps find in a "conflict.search" span. The sequence number is
@@ -626,8 +745,9 @@ func (f *Finder) findDegraded(ctx context.Context, c lr.Conflict, sc *scratch, s
 	return ex, nil
 }
 
-// search constructs a counterexample for one conflict: first the shortest
-// lookahead-sensitive path (Section 4), then — within the time budget, when
+// search constructs a counterexample for one conflict: first its shortest
+// lookahead-sensitive path (Section 4, looked up in the Finder's shared path
+// map), then — within the time budget, when
 // runUnify allows — the unifying search (Section 5), falling back to the
 // nonunifying counterexample assembled from the path. All searches poll ctx;
 // the per-conflict time limit is a deadline context derived from it.
@@ -645,7 +765,7 @@ func (f *Finder) search(ctx context.Context, c lr.Conflict, sc *scratch, runUnif
 	if !ok {
 		return nil, fmt.Errorf("core: conflict reduce item not in state %d", c.State)
 	}
-	path, err := shortestLookaheadSensitivePath(ctx, f.g, sc, conflictNode, c.Sym)
+	path, err := f.pathTo(ctx, sc, laspTarget{conflictNode, c.Sym})
 	if err != nil {
 		return nil, err
 	}
@@ -681,7 +801,7 @@ func (f *Finder) search(ctx context.Context, c lr.Conflict, sc *scratch, runUnif
 			ex.Deriv2 = res.deriv2
 			ex.Elapsed = time.Since(start)
 			ex.Stats.PathExpanded = sc.pathExpanded
-			f.bank.charge(ex.Elapsed)
+			f.chargeBank(ex.Elapsed)
 			f.addStats(ex.Stats)
 			return ex, nil
 		}
@@ -710,7 +830,7 @@ func (f *Finder) search(ctx context.Context, c lr.Conflict, sc *scratch, runUnif
 	ex.Merged = nu.merged
 	ex.Elapsed = time.Since(start)
 	ex.Stats.PathExpanded = sc.pathExpanded
-	f.bank.charge(ex.Elapsed)
+	f.chargeBank(ex.Elapsed)
 	f.addStats(ex.Stats)
 	return ex, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"lrcex/internal/grammar"
 	"lrcex/internal/lr"
@@ -13,7 +14,6 @@ import (
 type laspStep struct {
 	Node node
 	Sym  grammar.Sym // transition symbol, or NoSym for a production step
-	LA   int         // interned precise-lookahead handle at Node
 }
 
 // laspPath is a shortest lookahead-sensitive path from the start item to the
@@ -86,10 +86,9 @@ var errUnreachableConflict = errors.New("core: conflict item unreachable on any 
 // cancellation matters.
 const laspCheckEvery = 4096
 
-// laspEntry is one BFS vertex of the shortest lookahead-sensitive path
-// search: a (node, interned-lookahead) pair plus the parent link and edge
-// label needed for reconstruction. The buffer holding these entries lives in
-// the per-worker scratch and is reused across conflicts.
+// laspEntry is one BFS vertex of the lookahead-sensitive path search: a
+// (node, interned-lookahead) pair plus the parent link and edge label needed
+// for reconstruction.
 type laspEntry struct {
 	n      node
 	la     int32 // interned precise-lookahead handle
@@ -105,59 +104,89 @@ func laspKey(n node, la int32) uint64 {
 	return uint64(uint32(n))<<32 | uint64(uint32(la))
 }
 
-// shortestLookaheadSensitivePath finds a shortest path in the
+// laspTarget is one goal of the lookahead-sensitive path search: the node of
+// a conflict's reduce item and the conflict terminal that must be in the
+// precise lookahead set there.
+type laspTarget struct {
+	node node
+	term grammar.Sym
+}
+
+// lookaheadSensitivePaths finds, for every target, a shortest path in the
 // lookahead-sensitive graph from (start state, start item, {$}) to
-// (conflict state, conflict reduce item, L) with the conflict terminal in L.
-// All edges have unit weight, so breadth-first search finds a shortest path.
-// Only vertices whose node can reach the conflict node are expanded
-// (Section 6's optimization). The BFS polls ctx periodically and returns its
-// error when cancelled; sc provides the reusable reachability buffer, the
-// visited set, and the order buffer (cleared here, not reallocated).
-func shortestLookaheadSensitivePath(ctx context.Context, g *graph, sc *scratch, conflictNode node, conflictTerm grammar.Sym) (*laspPath, error) {
+// (target state, target item, L) with the target terminal in L — all targets
+// in one breadth-first search (edges have unit weight). Only vertices whose
+// node can reach some target node are expanded (Section 6's optimization,
+// over the union of the targets' cones). For each target the first popped
+// vertex that satisfies it ends that target's path; the search stops when
+// every target is found or the queue drains. A target no path reaches is
+// absent from the returned map. expanded counts the BFS pops. The BFS polls
+// ctx periodically and returns its error when cancelled.
+//
+// Each target's path is exactly the one a BFS restricted to that target's own
+// cone would find: no edge enters a cone from outside it (a predecessor of a
+// cone node is itself in the cone), so the cone's vertices enter this
+// search's queue in the same relative order and with the same first
+// discoverers as in the cone-only search. The conflict terminal enters only
+// the goal test, never the traversal.
+func lookaheadSensitivePaths(ctx context.Context, g *graph, targets []laspTarget) (paths map[laspTarget]*laspPath, expanded int64, err error) {
 	a := g.a
 	gr := a.G
-	tIdx := gr.TermIndex(conflictTerm)
+	paths = make(map[laspTarget]*laspPath, len(targets))
 
-	sc.reach = g.reverseReachableInto(sc.reach, conflictNode)
-	eligible := sc.reach
+	// pending lists, per target node, the terminal indices not yet found.
+	pending := make(map[node][]int, len(targets))
+	roots := make([]node, 0, len(targets))
+	for _, t := range targets {
+		tIdx := gr.TermIndex(t.term)
+		if _, ok := pending[t.node]; !ok {
+			roots = append(roots, t.node)
+		}
+		if !slices.Contains(pending[t.node], tIdx) {
+			pending[t.node] = append(pending[t.node], tIdx)
+		}
+	}
+	left := 0
+	for _, ts := range pending {
+		left += len(ts)
+	}
+	eligible := g.reverseReachableInto(nil, roots...)
 
 	interner := grammar.NewTermSetInterner()
 	var follow grammar.TermSet // internFollow scratch
 	eof := grammar.NewTermSet(gr.NumTerminals())
 	eof.Add(gr.TermIndex(grammar.EOF))
 
-	if sc.laspVisited == nil {
-		sc.laspVisited = make(map[uint64]bool, 256)
-	} else {
-		clear(sc.laspVisited)
-	}
-	visited := sc.laspVisited
-	order := sc.laspOrder[:0]
-	defer func() { sc.laspOrder = order[:0] }()
-
 	startNode, ok := g.lookup(0, a.StartItem())
 	if !ok {
-		return nil, errUnreachableConflict
+		return paths, 0, nil
 	}
 	rootLA := int32(interner.Intern(eof))
-	visited[laspKey(startNode, rootLA)] = true
-	order = append(order, laspEntry{n: startNode, la: rootLA, parent: -1, sym: grammar.NoSym})
+	visited := map[uint64]bool{laspKey(startNode, rootLA): true}
+	order := []laspEntry{{n: startNode, la: rootLA, parent: -1, sym: grammar.NoSym}}
 
-	found := -1
-	for head := 0; head < len(order) && found < 0; head++ {
+	for head := 0; head < len(order) && left > 0; head++ {
 		if head%laspCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, expanded, err
 			}
 		}
-		sc.pathExpanded++
+		expanded++
 		cur := order[head]
 		n, laID := cur.n, cur.la
 		la := interner.Get(int(laID))
 
-		if n == conflictNode && la.Has(tIdx) {
-			found = head
-			break
+		if ts := pending[n]; len(ts) > 0 {
+			kept := ts[:0]
+			for _, tIdx := range ts {
+				if !la.Has(tIdx) {
+					kept = append(kept, tIdx)
+					continue
+				}
+				paths[laspTarget{n, gr.TermAt(tIdx)}] = reconstructLASP(order, head)
+				left--
+			}
+			pending[n] = kept
 		}
 
 		push := func(m node, mla int32, sym grammar.Sym) {
@@ -184,20 +213,22 @@ func shortestLookaheadSensitivePath(ctx context.Context, g *graph, sc *scratch, 
 			}
 		}
 	}
-	if found < 0 {
-		return nil, errUnreachableConflict
-	}
+	return paths, expanded, nil
+}
 
-	// Reconstruct.
-	var rev []laspStep
+// reconstructLASP follows the parent links from order[found] back to the root
+// and returns the path in forward order.
+func reconstructLASP(order []laspEntry, found int) *laspPath {
+	n := 0
 	for i := found; i >= 0; i = int(order[i].parent) {
-		rev = append(rev, laspStep{Node: order[i].n, Sym: order[i].sym, LA: int(order[i].la)})
+		n++
 	}
-	p := &laspPath{steps: make([]laspStep, 0, len(rev))}
-	for i := len(rev) - 1; i >= 0; i-- {
-		p.steps = append(p.steps, rev[i])
+	p := &laspPath{steps: make([]laspStep, n)}
+	for i := found; i >= 0; i = int(order[i].parent) {
+		n--
+		p.steps[n] = laspStep{Node: order[i].n, Sym: order[i].sym}
 	}
-	return p, nil
+	return p
 }
 
 // completeStartingWith expands the pending remainders so that the first

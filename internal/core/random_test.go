@@ -99,6 +99,34 @@ func TestRandomGrammarInvariants(t *testing.T) {
 	t.Logf("oracle spot-checked %d random unifying examples", oracleChecked)
 }
 
+// TestRandomGrammarSharedPaths checks the per-grammar shortest
+// lookahead-sensitive path search against the per-conflict oracle on random
+// grammars, whose small automata put many conflicts' cones on top of each
+// other.
+func TestRandomGrammarSharedPaths(t *testing.T) {
+	r := rand.New(rand.NewSource(20261017))
+	iters := 2000
+	if testing.Short() {
+		iters = 300
+	}
+	checked := 0
+	for i := 0; i < iters; i++ {
+		g := randomGrammar(r)
+		if g == nil {
+			continue
+		}
+		tbl := lr.BuildTable(lr.Build(g))
+		if err := core.CheckSharedPaths(tbl); err != nil {
+			t.Fatalf("iter %d on\n%s: %v", i, g, err)
+		}
+		checked += len(tbl.Conflicts)
+	}
+	if checked == 0 {
+		t.Fatal("no random grammar had a conflict")
+	}
+	t.Logf("checked %d random conflicts", checked)
+}
+
 // oracleConfirms re-parses a unifying counterexample with the independent
 // GLR oracle: the sentential form is concretized to pure terminals and must
 // have at least two distinct parse trees under the ambiguous nonterminal.

@@ -254,21 +254,27 @@ func (g *graph) internFollow(in *grammar.TermSetInterner, it lr.Item, la grammar
 // prevSym returns the symbol before the dot of the node's item.
 func (g *graph) prevSym(n node) grammar.Sym { return g.a.PrevSym(g.itemOf(n)) }
 
-// reverseReachableInto marks every node from which target is reachable via
-// forward transitions and production steps — the optimization of Section 6
-// ("Finding shortest lookahead-sensitive path"): only states that can reach
-// the conflict item need be explored. When the caller-provided buffer
+// reverseReachableInto marks every node from which some target is reachable
+// via forward transitions and production steps — the optimization of
+// Section 6 ("Finding shortest lookahead-sensitive path"): only states that
+// can reach the conflict item need be explored. The marks of several targets
+// are the union of their single-target marks. When the caller-provided buffer
 // (per-worker scratch) has sufficient capacity it is cleared and reused
 // instead of reallocated.
-func (g *graph) reverseReachableInto(seen []bool, target node) []bool {
+func (g *graph) reverseReachableInto(seen []bool, targets ...node) []bool {
 	if cap(seen) < g.numNodes {
 		seen = make([]bool, g.numNodes)
 	} else {
 		seen = seen[:g.numNodes]
 		clear(seen)
 	}
-	stack := []node{target}
-	seen[target] = true
+	stack := make([]node, 0, len(targets))
+	for _, t := range targets {
+		if !seen[t] {
+			seen[t] = true
+			stack = append(stack, t)
+		}
+	}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

@@ -57,6 +57,9 @@ func TestTraceDeterminismMatrix(t *testing.T) {
 	if !strings.Contains(ref, "conflict.search#") {
 		t.Fatalf("reference trace has no conflict spans:\n%s", ref)
 	}
+	if strings.Count(ref, "search.lasp#") != 1 {
+		t.Fatalf("reference trace does not have exactly one shared path-search span:\n%s", ref)
+	}
 	if got := tracedCanonical(t, "C.4", traceOpts(8)); got != ref {
 		t.Errorf("span tree at j=8 diverged from sequential reference:\n%s\nvs\n%s", got, ref)
 	}

@@ -132,7 +132,9 @@ type SearchStats struct {
 	AllocBytes int64
 	// PathExpanded is the number of vertices expanded by the
 	// lookahead-sensitive path searches (shortest path, other-side replay,
-	// and the joint reduce/reduce search).
+	// and the joint reduce/reduce search). The shortest-path search runs once
+	// per Finder for all conflicts, so it counts in Finder totals only, never
+	// in an Example's.
 	PathExpanded int64
 }
 

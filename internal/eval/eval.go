@@ -43,11 +43,16 @@ type Row struct {
 	// parentheses, e.g. Java.2's "(983)").
 	Skipped int
 
-	Total time.Duration // time on conflicts that did not time out
-	Avg   time.Duration // Total / (Unif + Nonunif)
-	// Wall is the wall-clock time of the whole FindAll call. With
-	// Finder.Parallelism > 1 it is smaller than Total (the per-conflict sum):
-	// Total/Wall is the realized parallel speedup.
+	// Total is the summed Example.Elapsed of conflicts that did not time
+	// out, and Avg is Total / (Unif + Nonunif). Each Elapsed covers only the
+	// conflict's own work, so neither includes the shortest-path search the
+	// Finder runs once for all conflicts; Wall does.
+	Total time.Duration
+	Avg   time.Duration
+	// Wall is the wall-clock time of the whole FindAll call, the shared
+	// shortest-path search included. With Finder.Parallelism > 1 it is
+	// usually smaller than Total (the per-conflict sum): Total/Wall is the
+	// realized parallel speedup.
 	Wall time.Duration
 	// ParseWall and BuildWall break the pre-search cost down: GDL parse
 	// versus LALR automaton + table + search-graph construction. Together

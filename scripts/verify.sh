@@ -40,7 +40,9 @@ go vet ./...
 # -short skips the long-pole work pins and trims the corpus-wide oracle and
 # random-grammar budgets (tier 1 runs them in full, race-free); the j{1,8}
 # determinism checks — parallel FindAll, span trees, the repair matrix — are
-# the schedules the race detector exists to check, and run in full.
+# the schedules the race detector exists to check, and run in full, as does
+# TestConcurrentFindContextSharesPaths (eight goroutines racing to run one
+# Finder's once-per-grammar shortest-path search).
 go test -race -short ./internal/core/... ./internal/eval/... ./internal/repair/... ./internal/server/... ./internal/persist/... ./internal/trace/...
 
 echo "== tier 3: fuzz smoke (${FUZZTIME}) =="
