@@ -5,6 +5,7 @@ import (
 
 	"lrcex/internal/core"
 	"lrcex/internal/corpus"
+	"lrcex/internal/lr"
 )
 
 // sliceBaselineAllocs is the allocs/op of the pre-rewrite slice-copying
@@ -16,6 +17,40 @@ const (
 	sliceBaselineAllocs    = 705
 	allocsImprovementFloor = 5
 )
+
+// buildAllocsCeiling bounds the allocs/op of lr.Build + lr.BuildTable on
+// Java.2. The textbook construction (a map-backed LR(1) closure per kernel
+// item, a fresh set per FollowL call, a map from item to index per state)
+// measured 178,708 allocs/op; the dense construction measures 7,648. The
+// ceiling catches a return of per-item allocation while leaving room for
+// small additions.
+const buildAllocsCeiling = 60000
+
+// TestBuildAllocsPinned guards the allocation profile of the LALR(1) front
+// end. Skipped under -short: testing.Benchmark builds the automaton
+// repeatedly to stabilize the measurement.
+func TestBuildAllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pin skipped in -short mode")
+	}
+	e, ok := corpus.Get("Java.2")
+	if !ok {
+		t.Fatal("corpus grammar Java.2 not found")
+	}
+	g := e.Grammar()
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lr.BuildTable(lr.Build(g))
+		}
+	})
+	allocs := r.AllocsPerOp()
+	t.Logf("Java.2 lr.Build+BuildTable: %d allocs/op, %d B/op (ceiling %d)",
+		allocs, r.AllocedBytesPerOp(), buildAllocsCeiling)
+	if allocs > buildAllocsCeiling {
+		t.Errorf("allocs/op = %d exceeds the ceiling %d", allocs, buildAllocsCeiling)
+	}
+}
 
 // TestUnifyAllocsRegression is the hard allocation-regression guard promised
 // by BenchmarkUnifyAllocs' doc comment: it runs the benchmark body under

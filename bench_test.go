@@ -79,6 +79,22 @@ func BenchmarkFigure2Automaton(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildCorpus measures the LALR(1) front end — lr.Build plus
+// lr.BuildTable — over all 42 corpus grammars per op, with allocations.
+func BenchmarkBuildCorpus(b *testing.B) {
+	var gs []*grammar.Grammar
+	for _, e := range corpus.All() {
+		gs = append(gs, e.Grammar())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range gs {
+			lr.BuildTable(lr.Build(g))
+		}
+	}
+}
+
 // BenchmarkFigure5Path measures the shortest lookahead-sensitive path search
 // for the dangling-else conflict.
 func BenchmarkFigure5Path(b *testing.B) {

@@ -51,15 +51,6 @@ type graph struct {
 	// state) of items with N after the dot.
 	revProdSteps [][]node
 
-	// restFirst and restNullable describe, per LR item A -> α • X β (indexed
-	// by lr.Item, so the table is as large as the grammar, not the
-	// automaton), FIRST(β) and whether β is nullable. They make followL of
-	// Section 4 — FIRST(β), plus the item's lookahead when β is nullable — a
-	// table lookup instead of a fresh set per call (see followHas and
-	// internFollow). Reduce items have no X and keep empty entries.
-	restFirst    []grammar.TermSet
-	restNullable []bool
-
 	// leafDerivs interns one immutable leaf derivation per grammar symbol, so
 	// the search's transition steps share leaves instead of allocating one
 	// per edge. Leaves are immutable (Prod == -1, no children), so sharing
@@ -97,69 +88,58 @@ func newGraph(a *lr.Automaton) *graph {
 		}
 	}
 
-	g.fwdTrans = make([]node, g.numNodes)
-	g.revTrans = make([][]node, g.numNodes)
-	g.prodSteps = make([][]node, g.numNodes)
-	g.revProdSteps = make([][]node, g.numNodes)
-
+	// Forward transitions and production steps first, the production steps
+	// flat (node n's in prodFlat[prodStart[n]:prodStart[n+1]]); the reverse
+	// tables are then counting-sorted from them. Each table's lists share
+	// one backing array.
 	gr := a.G
+	g.fwdTrans = make([]node, g.numNodes)
+	prodStart := make([]int32, g.numNodes+1)
+	for n, x := range g.dotSyms {
+		k := 0
+		if x != grammar.NoSym && !gr.IsTerminal(x) {
+			k = len(gr.ProductionsOf(x))
+		}
+		prodStart[n+1] = prodStart[n] + int32(k)
+	}
+	prodFlat := make([]node, 0, prodStart[g.numNodes])
+	// closureNode[it] is the node of closure item it in the state being
+	// linked, valid while closureIn[it] == that state's id + 1.
+	closureNode := make([]node, a.NumItems())
+	closureIn := make([]int32, a.NumItems())
 	for _, st := range a.States {
-		// Per-state index: items that have symbol X after the dot.
-		byDotSym := make(map[grammar.Sym][]int, len(st.Items))
-		for idx, it := range st.Items {
-			if x := a.DotSym(it); x != grammar.NoSym {
-				byDotSym[x] = append(byDotSym[x], idx)
-			}
+		base := g.stateBase[st.ID]
+		for idx := st.Kernel; idx < len(st.Items); idx++ {
+			it := st.Items[idx]
+			closureNode[it], closureIn[it] = node(base+int32(idx)), int32(st.ID+1)
 		}
 		for idx, it := range st.Items {
-			n := g.nodeOf(st.ID, idx)
-			x := a.DotSym(it)
-			if x == grammar.NoSym {
-				g.fwdTrans[n] = noNode
-				continue
-			}
-			tgtState := a.States[st.Trans[x]]
-			tIdx, ok := tgtState.HasItem(it + 1)
-			if !ok {
-				g.fwdTrans[n] = noNode // unreachable for a well-formed automaton
-			} else {
-				m := g.nodeOf(tgtState.ID, tIdx)
-				g.fwdTrans[n] = m
-				g.revTrans[m] = append(g.revTrans[m], n)
-			}
-			if !gr.IsTerminal(x) {
-				for _, pid := range gr.ProductionsOf(x) {
-					cIdx, ok := st.HasItem(a.ItemOf(pid, 0))
-					if !ok {
-						continue
+			n := node(base + int32(idx))
+			g.fwdTrans[n] = noNode
+			if x := g.dotSyms[n]; x != grammar.NoSym {
+				tgtState := a.States[st.Trans[x]]
+				if tIdx, ok := tgtState.HasItem(it + 1); ok {
+					g.fwdTrans[n] = g.nodeOf(tgtState.ID, tIdx)
+				}
+				if !gr.IsTerminal(x) {
+					for _, pid := range gr.ProductionsOf(x) {
+						if c := a.ItemOf(pid, 0); closureIn[c] == int32(st.ID+1) {
+							prodFlat = append(prodFlat, closureNode[c])
+						}
 					}
-					c := g.nodeOf(st.ID, cIdx)
-					g.prodSteps[n] = append(g.prodSteps[n], c)
-					g.revProdSteps[c] = append(g.revProdSteps[c], n)
 				}
 			}
+			prodStart[n+1] = int32(len(prodFlat))
 		}
 	}
-	g.restFirst = grammar.NewTermSets(a.NumItems(), gr.NumTerminals())
-	g.restNullable = make([]bool, a.NumItems())
-	for pid := 0; pid < gr.NumProductions(); pid++ {
-		rhs := gr.Production(pid).RHS
-		// Right to left: β after dot k is X_{k+2} … X_n, i.e. the β of dot
-		// k+1 with X_{k+2} in front.
-		for dot := len(rhs) - 1; dot >= 0; dot-- {
-			it := a.ItemOf(pid, dot)
-			if dot == len(rhs)-1 {
-				g.restNullable[it] = true
-				continue
-			}
-			x, next := rhs[dot+1], it+1
-			g.restFirst[it].Union(gr.First(x))
-			if gr.Nullable(x) {
-				g.restFirst[it].Union(g.restFirst[next])
-				g.restNullable[it] = g.restNullable[next]
-			}
+	g.prodSteps = carve(prodFlat, prodStart)
+	g.revTrans = invert(g.numNodes, func(n node) []node {
+		if g.fwdTrans[n] == noNode {
+			return nil
 		}
-	}
+		return g.fwdTrans[n : n+1]
+	})
+	g.revProdSteps = invert(g.numNodes, func(n node) []node { return g.prodSteps[n] })
 
 	g.leafDerivs = make([]*Deriv, gr.NumSymbols())
 	for i := range g.leafDerivs {
@@ -170,17 +150,53 @@ func newGraph(a *lr.Automaton) *graph {
 	return g
 }
 
-// fingerprint hashes the adjacency tables (FNV-1a). Recorded once by
-// newGraph; assertImmutable recomputes it to spot-check that no search
-// mutated the shared read-only structures.
+// carve splits flat into the lists flat[start[n]:start[n+1]], each capped
+// at its own length.
+func carve(flat []node, start []int32) [][]node {
+	out := make([][]node, len(start)-1)
+	for n := range out {
+		out[n] = flat[start[n]:start[n+1]:start[n+1]]
+	}
+	return out
+}
+
+// invert returns the reverse of the adjacency succ over numNodes nodes:
+// list m holds, in increasing order, every n whose succ(n) contains m.
+func invert(numNodes int, succ func(node) []node) [][]node {
+	start := make([]int32, numNodes+1)
+	for n := node(0); int(n) < numNodes; n++ {
+		for _, m := range succ(n) {
+			start[m+1]++
+		}
+	}
+	for i := 0; i < numNodes; i++ {
+		start[i+1] += start[i]
+	}
+	flat := make([]node, start[numNodes])
+	// start[m] serves as m's fill cursor; afterwards it holds m's end, which
+	// is m+1's start, so one shift restores the starts.
+	for n := node(0); int(n) < numNodes; n++ {
+		for _, m := range succ(n) {
+			flat[start[m]] = n
+			start[m]++
+		}
+	}
+	copy(start[1:], start[:numNodes])
+	start[0] = 0
+	return carve(flat, start)
+}
+
+// fingerprint hashes the adjacency tables, one FNV-1a step per 64-bit
+// value. Recorded once by newGraph; assertImmutable recomputes it to
+// spot-check that no search mutated the shared read-only structures. Each
+// step (xor, then multiply by an odd prime) is a bijection of the running
+// hash, so changing any single value always changes the result.
 func (g *graph) fingerprint() uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
 	mix := func(v int64) {
-		for i := 0; i < 8; i++ {
-			h ^= uint64(byte(v >> (8 * i)))
-			h *= prime
-		}
+		h ^= uint64(v)
+		h *= prime
 	}
 	for n := 0; n < g.numNodes; n++ {
 		mix(int64(g.fwdTrans[n]))
@@ -235,7 +251,7 @@ func (g *graph) dotSym(n node) grammar.Sym { return g.dotSyms[n] }
 // followHas reports whether terminal index t is in followL of item it under
 // lookahead la (Grammar.FollowL), without building the set.
 func (g *graph) followHas(it lr.Item, la grammar.TermSet, t int) bool {
-	return g.restFirst[it].Has(t) || g.restNullable[it] && la.Has(t)
+	return g.a.RestFirst(it).Has(t) || g.a.RestNullable(it) && la.Has(t)
 }
 
 // internFollow interns followL of item it under lookahead la and returns the
@@ -243,10 +259,10 @@ func (g *graph) followHas(it lr.Item, la grammar.TermSet, t int) bool {
 // otherwise the union is built in scratch, which the caller reuses across
 // calls (the interner clones what it keeps).
 func (g *graph) internFollow(in *grammar.TermSetInterner, it lr.Item, la grammar.TermSet, scratch *grammar.TermSet) int32 {
-	if !g.restNullable[it] {
-		return int32(in.Intern(g.restFirst[it]))
+	if !g.a.RestNullable(it) {
+		return int32(in.Intern(g.a.RestFirst(it)))
 	}
-	scratch.Set(g.restFirst[it])
+	scratch.Set(g.a.RestFirst(it))
 	scratch.Union(la)
 	return int32(in.Intern(*scratch))
 }

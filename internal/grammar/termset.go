@@ -79,6 +79,9 @@ func (s *TermSet) Set(t TermSet) {
 	s.words = append(s.words[:0], t.words...)
 }
 
+// Clear removes every element, keeping s's storage.
+func (s *TermSet) Clear() { clear(s.words) }
+
 // Intersects reports whether s and t share any element.
 func (s TermSet) Intersects(t TermSet) bool {
 	n := len(s.words)
@@ -150,16 +153,19 @@ func (s TermSet) Equal(t TermSet) bool {
 }
 
 // Elems returns the elements in increasing order.
-func (s TermSet) Elems() []int {
-	var out []int
+func (s TermSet) Elems() []int { return s.AppendElems(nil) }
+
+// AppendElems appends the elements to dst in increasing order and returns
+// the extended slice, so a caller can reuse one buffer across sets.
+func (s TermSet) AppendElems(dst []int) []int {
 	for wi, w := range s.words {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
-			out = append(out, wi*64+b)
+			dst = append(dst, wi*64+b)
 			w &^= 1 << b
 		}
 	}
-	return out
+	return dst
 }
 
 // Hash returns a 64-bit FNV-style hash of the set contents, insensitive to

@@ -1,7 +1,7 @@
 package lr
 
 import (
-	"sort"
+	"slices"
 
 	"lrcex/internal/grammar"
 )
@@ -22,8 +22,6 @@ type State struct {
 	// Trans maps a symbol to the successor state (shift for terminals, goto
 	// for nonterminals).
 	Trans map[grammar.Sym]int
-
-	itemPos map[Item]int // item -> index in Items
 }
 
 // Automaton is the LALR(1) parser state machine for a grammar.
@@ -33,20 +31,24 @@ type Automaton struct {
 
 	items *itemTable
 	// preds[s] lists the states with a transition into s (necessarily on
-	// s.AccessSym).
+	// s.AccessSym), in increasing order.
 	preds [][]int
 }
 
-// HasItem reports whether the state contains the item, and its index.
+// HasItem reports whether the state contains the item, and its index: a
+// binary search of the kernel half of Items, then of the closure half.
 func (s *State) HasItem(i Item) (int, bool) {
-	idx, ok := s.itemPos[i]
-	return idx, ok
+	if idx, ok := slices.BinarySearch(s.Items[:s.Kernel], i); ok {
+		return idx, true
+	}
+	idx, ok := slices.BinarySearch(s.Items[s.Kernel:], i)
+	return s.Kernel + idx, ok
 }
 
 // LookaheadOf returns the LALR lookahead set of item i in the given state.
 func (a *Automaton) LookaheadOf(state int, i Item) (grammar.TermSet, bool) {
 	s := a.States[state]
-	idx, ok := s.itemPos[i]
+	idx, ok := s.HasItem(i)
 	if !ok {
 		return grammar.TermSet{}, false
 	}
@@ -80,116 +82,86 @@ func Build(g *grammar.Grammar) *Automaton {
 	return a
 }
 
-// closure expands a sorted kernel item set to the full LR(0) item set.
-func (a *Automaton) closure(kernel []Item) []Item {
-	g := a.G
-	inSet := make(map[Item]bool, len(kernel)*4)
-	items := append([]Item(nil), kernel...)
-	for _, i := range kernel {
-		inSet[i] = true
-	}
-	for w := 0; w < len(items); w++ {
-		x := a.DotSym(items[w])
-		if x == grammar.NoSym || g.IsTerminal(x) {
-			continue
-		}
-		for _, pid := range g.ProductionsOf(x) {
-			it := a.ItemOf(pid, 0)
-			if !inSet[it] {
-				inSet[it] = true
-				items = append(items, it)
-			}
-		}
-	}
-	// Sort the closure suffix for determinism; the kernel prefix is already
-	// sorted by the caller.
-	tail := items[len(kernel):]
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
-	return items
-}
-
-func kernelKey(kernel []Item) string {
-	b := make([]byte, 0, len(kernel)*4)
+// appendKernelKey appends the map key of a sorted kernel to b.
+func appendKernelKey(b []byte, kernel []Item) []byte {
 	for _, i := range kernel {
 		b = append(b, byte(i), byte(i>>8), byte(i>>16), byte(i>>24))
 	}
-	return string(b)
+	return b
 }
 
+// buildLR0 builds the canonical LR(0) collection breadth first, numbering
+// states in discovery order with successors visited in symbol order.
 func (a *Automaton) buildLR0() {
-	type pending struct {
-		kernel []Item
-		access grammar.Sym
-	}
+	g := a.G
 	stateOf := make(map[string]int)
+	var key []byte
+	// Scratch shared by all states. expanded[x] holds 1 + the id of the last
+	// state whose closure added the productions of nonterminal x; bucket[x]
+	// collects the successor kernel on symbol x of the state being expanded.
+	// closure holds the item list of the state being added.
+	expanded := make([]int32, g.NumSymbols())
+	bucket := make([][]Item, g.NumSymbols())
+	var syms []grammar.Sym
+	var closure []Item
 
-	newState := func(kernel []Item, access grammar.Sym) int {
+	// newState adds the state with the given sorted kernel and map key, and
+	// its LR(0) closure.
+	newState := func(kernel []Item, key []byte, access grammar.Sym) int {
 		id := len(a.States)
-		items := a.closure(kernel)
-		st := &State{
+		items := append(closure[:0], kernel...)
+		for w := 0; w < len(items); w++ {
+			x := a.DotSym(items[w])
+			if x == grammar.NoSym || g.IsTerminal(x) || expanded[x] == int32(id+1) {
+				continue
+			}
+			expanded[x] = int32(id + 1)
+			for _, pid := range g.ProductionsOf(x) {
+				items = append(items, a.ItemOf(pid, 0))
+			}
+		}
+		slices.Sort(items[len(kernel):])
+		closure = items
+		a.States = append(a.States, &State{
 			ID:        id,
 			AccessSym: access,
-			Items:     items,
+			Items:     slices.Clone(items),
 			Kernel:    len(kernel),
-			Trans:     make(map[grammar.Sym]int),
-			itemPos:   make(map[Item]int, len(items)),
-		}
-		for idx, it := range items {
-			st.itemPos[it] = idx
-		}
-		a.States = append(a.States, st)
-		stateOf[kernelKey(kernel)] = id
+		})
+		a.preds = append(a.preds, nil)
+		stateOf[string(key)] = id
 		return id
 	}
 
-	start := []Item{a.StartItem()}
-	newState(start, grammar.NoSym)
+	key = appendKernelKey(key[:0], []Item{a.StartItem()})
+	newState([]Item{a.StartItem()}, key, grammar.NoSym)
 
 	for w := 0; w < len(a.States); w++ {
 		st := a.States[w]
-		// Group items by their dot symbol to form successor kernels.
-		bySym := make(map[grammar.Sym][]Item)
-		var order []grammar.Sym
+		syms = syms[:0]
 		for _, it := range st.Items {
 			x := a.DotSym(it)
 			if x == grammar.NoSym {
 				continue
 			}
-			if _, seen := bySym[x]; !seen {
-				order = append(order, x)
+			if len(bucket[x]) == 0 {
+				syms = append(syms, x)
 			}
-			bySym[x] = append(bySym[x], it+1)
+			bucket[x] = append(bucket[x], it+1)
 		}
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-		for _, x := range order {
-			kernel := bySym[x]
-			sort.Slice(kernel, func(i, j int) bool { return kernel[i] < kernel[j] })
-			key := kernelKey(kernel)
-			target, ok := stateOf[key]
+		slices.Sort(syms)
+		st.Trans = make(map[grammar.Sym]int, len(syms))
+		for _, x := range syms {
+			kernel := bucket[x]
+			slices.Sort(kernel)
+			key = appendKernelKey(key[:0], kernel)
+			target, ok := stateOf[string(key)]
 			if !ok {
-				target = newState(kernel, x)
+				target = newState(kernel, key, x)
 			}
 			st.Trans[x] = target
+			a.preds[target] = append(a.preds[target], st.ID)
+			bucket[x] = kernel[:0]
 		}
 	}
-
-	a.preds = make([][]int, len(a.States))
-	for _, st := range a.States {
-		for _, t := range sortedTargets(st.Trans) {
-			a.preds[t] = append(a.preds[t], st.ID)
-		}
-	}
-}
-
-func sortedTargets(trans map[grammar.Sym]int) []int {
-	syms := make([]grammar.Sym, 0, len(trans))
-	for s := range trans {
-		syms = append(syms, s)
-	}
-	sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
-	out := make([]int, len(syms))
-	for i, s := range syms {
-		out[i] = trans[s]
-	}
-	return out
 }

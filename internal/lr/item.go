@@ -1,8 +1,8 @@
 // Package lr constructs LALR(1) parser state machines: the LR(0) canonical
-// collection, LALR(1) lookahead sets for every item (kernel items via
-// spontaneous-generation/propagation, closure items via an in-state fixpoint),
-// the parse table, and the shift/reduce and reduce/reduce conflicts that the
-// counterexample finder explains.
+// collection, LALR(1) lookahead sets for every item (one symbolic closure per
+// state, then propagation between kernel items over dense slot ids; see
+// computeLALR), the parse table, and the shift/reduce and reduce/reduce
+// conflicts that the counterexample finder explains.
 package lr
 
 import (
@@ -20,11 +20,15 @@ type Item int32
 // NoItem marks the absence of an item.
 const NoItem Item = -1
 
-// itemTable precomputes the production and dot position of every item id.
+// itemTable precomputes the production and dot position of every item id,
+// and FIRST(β) and nullable(β) of every item A -> α • X β.
 type itemTable struct {
 	base []int32 // production id -> first item id
 	prod []int32 // item id -> production id
 	dot  []int32 // item id -> dot position
+
+	restFirst    []grammar.TermSet // item id -> FIRST(β)
+	restNullable []bool            // item id -> β is nullable
 }
 
 func newItemTable(g *grammar.Grammar) *itemTable {
@@ -35,6 +39,27 @@ func newItemTable(g *grammar.Grammar) *itemTable {
 		for d := 0; d <= n; d++ {
 			t.prod = append(t.prod, int32(p))
 			t.dot = append(t.dot, int32(d))
+		}
+	}
+	t.restFirst = grammar.NewTermSets(len(t.prod), g.NumTerminals())
+	t.restNullable = make([]bool, len(t.prod))
+	for p := 0; p < g.NumProductions(); p++ {
+		rhs := g.Production(p).RHS
+		// Right to left: β after dot d is X_{d+2} … X_n, i.e. the β of dot
+		// d+1 with X_{d+2} in front. Reduce items have no X and keep the
+		// empty, non-nullable entry.
+		for d := len(rhs) - 1; d >= 0; d-- {
+			it := t.base[p] + int32(d)
+			if d == len(rhs)-1 {
+				t.restNullable[it] = true
+				continue
+			}
+			x := rhs[d+1]
+			t.restFirst[it].Union(g.First(x))
+			if g.Nullable(x) {
+				t.restFirst[it].Union(t.restFirst[it+1])
+				t.restNullable[it] = t.restNullable[it+1]
+			}
 		}
 	}
 	return t
@@ -71,6 +96,17 @@ func (a *Automaton) PrevSym(i Item) grammar.Sym {
 	}
 	return a.G.Production(a.Prod(i)).RHS[d-1]
 }
+
+// RestFirst returns FIRST(β) for the item A -> α • X β: the terminals that
+// can begin what follows the symbol after the dot. With RestNullable it gives
+// followL of Section 4 — FIRST(β), plus the item's lookahead when β is
+// nullable — without building a set. A reduce item has no X, and its entry
+// is empty. The set is shared: callers must not modify it.
+func (a *Automaton) RestFirst(i Item) grammar.TermSet { return a.items.restFirst[i] }
+
+// RestNullable reports whether β of the item A -> α • X β derives the empty
+// string; false for a reduce item.
+func (a *Automaton) RestNullable(i Item) bool { return a.items.restNullable[i] }
 
 // IsReduce reports whether the dot is at the end of the item's production.
 func (a *Automaton) IsReduce(i Item) bool {

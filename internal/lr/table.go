@@ -1,7 +1,9 @@
 package lr
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lrcex/internal/grammar"
@@ -110,9 +112,31 @@ func BuildTable(a *Automaton) *Table {
 	t.Actions = make([]map[grammar.Sym]Action, len(a.States))
 	t.Gotos = make([]map[grammar.Sym]int, len(a.States))
 
+	// Scratch reused across states: the reduce items of the current state,
+	// and the elements of one lookahead set.
+	var reduces, elems []int
 	for _, st := range a.States {
-		acts := make(map[grammar.Sym]Action)
-		gotos := make(map[grammar.Sym]int)
+		// Reduce items in item-id order for determinism.
+		reduces = reduces[:0]
+		numActs := 0
+		for idx, it := range st.Items {
+			if a.IsReduce(it) {
+				reduces = append(reduces, idx)
+				numActs += st.Lookahead[idx].Len()
+			}
+		}
+		slices.SortFunc(reduces, func(i, j int) int { return cmp.Compare(st.Items[i], st.Items[j]) })
+
+		numGotos := 0
+		for x := range st.Trans {
+			if g.IsTerminal(x) {
+				numActs++
+			} else {
+				numGotos++
+			}
+		}
+		acts := make(map[grammar.Sym]Action, numActs)
+		gotos := make(map[grammar.Sym]int, numGotos)
 		for x, tgt := range st.Trans {
 			if g.IsTerminal(x) {
 				acts[x] = Action{ActionShift, tgt}
@@ -122,22 +146,14 @@ func BuildTable(a *Automaton) *Table {
 		}
 
 		// blocked marks terminals turned into syntax errors by %nonassoc.
-		blocked := make(map[grammar.Sym]bool)
-
-		// Reduce items in item-id order for determinism.
-		var reduces []int
-		for idx, it := range st.Items {
-			if a.IsReduce(it) {
-				reduces = append(reduces, idx)
-			}
-		}
-		sort.Slice(reduces, func(i, j int) bool { return st.Items[reduces[i]] < st.Items[reduces[j]] })
+		var blocked map[grammar.Sym]bool
 
 		// Shift/reduce conflicts: structural, per (reduce item, shift item).
 		for _, idx := range reduces {
 			redItem := st.Items[idx]
 			pid := a.Prod(redItem)
-			for _, ti := range st.Lookahead[idx].Elems() {
+			elems = st.Lookahead[idx].AppendElems(elems[:0])
+			for _, ti := range elems {
 				term := g.TermAt(ti)
 				if _, shifts := st.Trans[term]; !shifts {
 					continue
@@ -163,6 +179,9 @@ func BuildTable(a *Automaton) *Table {
 					acts[term] = Action{ActionReduce, pid}
 				case "error":
 					delete(acts, term)
+					if blocked == nil {
+						blocked = make(map[grammar.Sym]bool)
+					}
 					blocked[term] = true
 				}
 			}
@@ -197,7 +216,8 @@ func BuildTable(a *Automaton) *Table {
 			if pid == 0 {
 				want = Action{ActionAccept, 0}
 			}
-			for _, ti := range st.Lookahead[idx].Elems() {
+			elems = st.Lookahead[idx].AppendElems(elems[:0])
+			for _, ti := range elems {
 				term := g.TermAt(ti)
 				if blocked[term] {
 					continue
