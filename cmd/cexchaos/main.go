@@ -1,5 +1,6 @@
 // Command cexchaos is the chaos harness for the fault-injection subsystem:
-// it arms every injection point at a configurable rate with a fixed seed,
+// it arms every injection point at a configurable rate with a fixed seed
+// (the search-core points at a hundredth of it, see main),
 // starts an in-process cexd, and replays the Table-1 corpus against it in a
 // closed loop while faults fire across every layer — arena growth, visited-
 // table growth, GDL parsing, the queue, the cache, singleflight leaders, and
@@ -15,7 +16,9 @@
 //     client's structures, never a half-written body or hung connection;
 //  3. every surviving unifying counterexample is still genuinely ambiguous,
 //     re-validated against the independent GLR oracle (at least two parse
-//     trees for the concretized sentential form).
+//     trees for the concretized sentential form) — and at least one
+//     survives: a run that validates none has not checked this invariant,
+//     and fails.
 //
 // The same seed and rate replay the same fault schedule, so failures are
 // reproducible by rerunning with the reported flags.
@@ -29,6 +32,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -48,10 +52,14 @@ import (
 	"lrcex/internal/faults"
 	"lrcex/internal/gdl"
 	"lrcex/internal/grammar"
-	"lrcex/internal/lr"
 	"lrcex/internal/server"
 	"lrcex/internal/server/client"
 )
+
+// coreRateDiv divides -rate for the three search-core injection points (see
+// main). At 100 the seed 1–8 smokes fire 70–620 core faults on 12–18 of
+// the corpus grammars and still GLR-validate 58–78 unifying examples.
+const coreRateDiv = 100
 
 type outcomeCounts struct {
 	OK          int `json:"ok"`
@@ -91,7 +99,7 @@ type chaosReport struct {
 func main() {
 	var (
 		seed       = flag.Int64("seed", 42, "fault schedule seed (same seed + rate replays the same faults)")
-		rate       = flag.Float64("rate", 0.05, "per-evaluation firing probability for every injection point")
+		rate       = flag.Float64("rate", 0.05, "per-evaluation firing probability for every injection point (search-core points: rate/100)")
 		passes     = flag.Int("passes", 3, "closed-loop passes over the corpus")
 		smoke      = flag.Bool("smoke", false, "smoke mode: one pass, small budgets (used by scripts/verify.sh)")
 		conc       = flag.Int("conc", 4, "concurrent closed-loop workers")
@@ -106,13 +114,34 @@ func main() {
 		*passes = 1
 	}
 
-	// Arm every registered point at the same rate, one seeded schedule.
+	entries := corpus.All()
+	if len(entries) == 0 {
+		logger.Fatal("corpus is empty")
+	}
+	v, err := newValidator(entries)
+	if err != nil {
+		logger.Fatalf("parsing the oracle's grammars: %v", err)
+	}
+
+	// Arm every registered point from one seeded schedule. The server,
+	// parse and persistence points are evaluated about once per request and
+	// fire at -rate. The three search-core points are evaluated per search
+	// step or per scratch growth, millions of times per run: at -rate they
+	// degrade nearly every conflict (754 of 758 in the seed-1 smoke) and leave
+	// invariant 3 no unifying example to check. They fire at -rate/coreRateDiv
+	// instead, uncapped, so their firings fall where the search work is,
+	// across the corpus. (A Rate.Max cap counts firings over the whole run
+	// and would spend them all on the first searches to run.)
 	cfg := faults.Config{Seed: *seed, Rates: make(map[faults.Point]faults.Rate, len(faults.Points))}
 	for _, p := range faults.Points {
 		cfg.Rates[p] = faults.Rate{Prob: *rate}
 	}
+	for _, p := range []faults.Point{faults.CoreArenaGrow, faults.CoreVisitedGrow, faults.CoreUnifyExpand} {
+		cfg.Rates[p] = faults.Rate{Prob: *rate / coreRateDiv}
+	}
 	faults.Enable(cfg)
-	logger.Printf("armed %d injection points at rate %g, seed %d", len(faults.Points), *rate, *seed)
+	logger.Printf("armed %d injection points at rate %g (search-core points at %g), seed %d",
+		len(faults.Points), *rate, *rate/coreRateDiv, *seed)
 
 	// In-process server: uncontained panics kill this harness, which is the
 	// crash detector. The watchdog grace is short so a wedged worker fails
@@ -129,11 +158,6 @@ func main() {
 	go hs.Serve(ln)
 	base := "http://" + ln.Addr().String()
 	logger.Printf("chaos target (in-process) on %s", base)
-
-	entries := corpus.All()
-	if len(entries) == 0 {
-		logger.Fatal("corpus is empty")
-	}
 
 	// Short breaker cooldown: under a constant fault rate the circuit will
 	// open now and then; the run should probe and recover, not stall.
@@ -166,7 +190,6 @@ func main() {
 		crashes   []string
 	)
 	seen := make(map[string]bool) // grammar|example pairs already GLR-validated
-	v := newValidator()
 
 	start := time.Now()
 	var seq atomic.Int64
@@ -269,6 +292,11 @@ func main() {
 	rep.Malformed = len(malformed)
 	rep.Crashes = len(crashes)
 	rep.Violations = append(append([]string{}, crashes...), malformed...)
+	if validated == 0 {
+		// A run that re-validated no counterexample has not checked
+		// invariant 3 at all.
+		rep.Violations = append(rep.Violations, "no unifying example was GLR-validated")
+	}
 	sort.Float64s(lat)
 	if len(lat) > 0 {
 		rep.P50MS = pct(lat, 0.50)
@@ -342,41 +370,32 @@ func classify(err error, oc *outcomeCounts, malformed, crashes *[]string, name s
 	}
 }
 
-// validator re-checks unifying examples against the GLR oracle, caching the
-// per-grammar parse artifacts. Faults must stay out of the oracle's own
-// parse, so it uses gdl.Parse (no injection point) on the trusted corpus.
+// validator re-checks unifying examples against the GLR oracle. Its
+// per-grammar parse memo is filled before any fault is armed: every GDL
+// parse passes the gdl.parse injection point, and an injected failure there
+// would be charged to the counterexample under test.
 type validator struct {
-	mu       sync.Mutex
-	grammars map[string]*grammar.Grammar
+	grammars map[string]*grammar.Grammar // read-only once built
 }
 
-func newValidator() *validator {
-	return &validator{grammars: make(map[string]*grammar.Grammar)}
-}
-
-func (v *validator) grammarFor(e *corpus.Entry) (*grammar.Grammar, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok := v.grammars[e.Name]; ok {
-		return g, nil
+func newValidator(entries []*corpus.Entry) (*validator, error) {
+	v := &validator{grammars: make(map[string]*grammar.Grammar, len(entries))}
+	for _, e := range entries {
+		g, err := gdl.Parse(e.Name, e.Source)
+		if err != nil {
+			return nil, err
+		}
+		v.grammars[e.Name] = g
 	}
-	g, err := gdl.Parse(e.Name, e.Source)
-	if err != nil {
-		return nil, err
-	}
-	v.grammars[e.Name] = g
-	return g, nil
+	return v, nil
 }
 
-// validate checks one wire-form unifying example: reconstructed sentential
-// form, restarted grammar, concretized to terminals, parsed by GLR; ok means
-// >= 2 parse trees. skip marks oracle-side limits (fork explosion), which
-// are properties of the oracle, not the counterexample.
+// validate checks one wire-form unifying example against the shared GLR
+// oracle (engine.ValidateAmbiguous); ok means >= 2 parse trees. skip marks
+// the oracle's fork limit, a property of the oracle's budget, not of the
+// counterexample; any other oracle error is a verdict against it.
 func (v *validator) validate(e *corpus.Entry, ex *server.ExampleJSON) (ok, skip bool, err error) {
-	g, err := v.grammarFor(e)
-	if err != nil {
-		return false, false, err
-	}
+	g := v.grammars[e.Name]
 	nt, found := g.Lookup(ex.Nonterminal)
 	if !found {
 		return false, false, fmt.Errorf("unknown nonterminal %q", ex.Nonterminal)
@@ -392,28 +411,13 @@ func (v *validator) validate(e *corpus.Entry, ex *server.ExampleJSON) (ok, skip 
 		}
 		syms = append(syms, s)
 	}
-	sub, err := g.WithStart(nt)
-	if err != nil {
+	n, err := engine.ValidateAmbiguous(g, nt, syms)
+	switch {
+	case errors.Is(err, engine.ErrForkLimit):
+		return false, true, err
+	case err != nil:
 		return false, false, err
-	}
-	subSyms := make([]grammar.Sym, 0, len(syms))
-	for _, s := range syms {
-		m, found := sub.Lookup(g.Name(s))
-		if !found {
-			return false, false, fmt.Errorf("symbol %s lost in restart", g.Name(s))
-		}
-		subSyms = append(subSyms, m)
-	}
-	concrete, okc := engine.Concretize(sub, subSyms)
-	if !okc {
-		return false, false, fmt.Errorf("cannot concretize")
-	}
-	glr := engine.NewGLR(lr.BuildTable(lr.Build(sub)))
-	n, err := glr.CountParses(concrete)
-	if err != nil {
-		return false, true, err // oracle limit, not a counterexample defect
-	}
-	if n < 2 {
+	case n < 2:
 		return false, false, fmt.Errorf("only %d parse(s)", n)
 	}
 	return true, false, nil

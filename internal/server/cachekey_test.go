@@ -137,3 +137,18 @@ func TestOldFormatJournalKeyMisses(t *testing.T) {
 			again.Cached, again.ConflictCount, first.ConflictCount)
 	}
 }
+
+// TestResultKeyFormat pins the result-cache key of each route byte for byte:
+// the keys are the journal's record keys, so a change here would turn every
+// persisted report cold after an upgrade.
+func TestResultKeyFormat(t *testing.T) {
+	opts := AnalyzeOptions{NoTimeout: true, MaxConfigs: 500, Kinds: []string{"unifying"}}
+	const fp = "0123abcd"
+	if got, want := resultKey(fp, opts, nil), fp+"|"+opts.optionsKey(); got != want {
+		t.Errorf("analyze key %q, want %q", got, want)
+	}
+	rep := &RepairOptions{RepairBudget: 7, MaxCandidates: 300}
+	if got, want := resultKey(fp, opts, rep), "repair|"+fp+"|"+opts.optionsKey()+"|rb7|rc300"; got != want {
+		t.Errorf("repair key %q, want %q", got, want)
+	}
+}

@@ -113,13 +113,15 @@ func TestWatchdogAbandonsStalledAnalysis(t *testing.T) {
 func TestRequestBodyCap413(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 1024})
 	big := strings.Repeat("x", 4096)
-	var er ErrorResponse
-	res := postAnalyze(t, ts, &AnalyzeRequest{Grammar: big}, &er)
-	if res.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status = %d, want 413", res.StatusCode)
-	}
-	if er.Code != "too_large" || !strings.Contains(er.Error, "1024") {
-		t.Fatalf("413 body = %+v, want code too_large naming the limit", er)
+	for _, rt := range v1Routes {
+		var er ErrorResponse
+		res := postTo(t, ts, rt.path, rt.body(big, AnalyzeOptions{}), &er)
+		if res.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized body: status = %d, want 413", rt.path, res.StatusCode)
+		}
+		if er.Code != "too_large" || !strings.Contains(er.Error, "1024") {
+			t.Fatalf("%s: 413 body = %+v, want code too_large naming the limit", rt.path, er)
+		}
 	}
 	// The typed error is also available programmatically.
 	e := &RequestTooLargeError{Limit: 1024}

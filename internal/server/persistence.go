@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,9 +45,6 @@ type persister struct {
 const (
 	recordKindResult  = "result"
 	recordKindCompile = "compile"
-	// resultKeyRepairPrefix routes persisted result records back to the
-	// right wire type on load (the repair handler's cache-key prefix).
-	resultKeyRepairPrefix = "repair|"
 )
 
 // newPersister opens (never wipes) the store under dir.
@@ -90,19 +88,18 @@ func (p *persister) loadRecord(s *Server, rec persist.Record) (ok bool) {
 	}()
 	switch rec.Kind {
 	case recordKindResult:
-		if len(rec.Key) >= len(resultKeyRepairPrefix) && rec.Key[:len(resultKeyRepairPrefix)] == resultKeyRepairPrefix {
-			var resp RepairResponse
-			if json.Unmarshal(rec.Value, &resp) != nil || resp.Fingerprint == "" {
-				return false
-			}
-			s.cache.add(rec.Key, &resp)
-			return true
-		}
-		var resp AnalyzeResponse
+		// One decode serves both wire types (an analysis record has no
+		// "repair" field); the key, built by resultKey, says which one the
+		// route serves.
+		var resp RepairResponse
 		if json.Unmarshal(rec.Value, &resp) != nil || resp.Fingerprint == "" {
 			return false
 		}
-		s.cache.add(rec.Key, &resp)
+		var val any = &resp.AnalyzeResponse
+		if strings.HasPrefix(rec.Key, repairKeyPrefix) {
+			val = &resp
+		}
+		s.cache.add(rec.Key, val)
 		return true
 	case recordKindCompile:
 		var src string

@@ -107,6 +107,48 @@ func TestWarmRestartServesCached(t *testing.T) {
 	}
 }
 
+// TestWarmRestartServesCachedRepair is the warm restart for /v1/repair: the
+// repair report is journaled under its own key, reloads as a repair report,
+// and the resubmission after a restart is a cache hit whose body matches the
+// original apart from the volatile fields.
+func TestWarmRestartServesCachedRepair(t *testing.T) {
+	dir := t.TempDir()
+	req := &RepairRequest{Name: "dangling", Grammar: danglingElseSource(t)}
+
+	s1, ts1 := newDurableServer(t, dir, Config{})
+	var first RepairResponse
+	if res := postRepair(t, ts1, req, &first); res.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", res.StatusCode)
+	}
+	if first.Cached || first.Repair == nil {
+		t.Fatalf("fresh repair: cached=%t repair=%v", first.Cached, first.Repair)
+	}
+	shutdownServer(t, s1, ts1)
+
+	s2, ts2 := newDurableServer(t, dir, Config{})
+	if got := s2.per.skipped.Load(); got != 0 {
+		t.Fatalf("clean store reload skipped %d records", got)
+	}
+	var second RepairResponse
+	if res := postRepair(t, ts2, req, &second); res.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", res.StatusCode)
+	}
+	if !second.Cached {
+		t.Fatal("repair resubmission after restart not served from the recovered cache")
+	}
+	if got := s2.m.repairCacheHits.Load(); got != 1 {
+		t.Fatalf("repairCacheHits = %d, want 1", got)
+	}
+	canonA, canonB := first, second
+	canonA.Cached, canonB.Cached = false, false
+	canonA.Timings, canonB.Timings = Timings{}, Timings{}
+	ja, _ := json.Marshal(&canonA)
+	jb, _ := json.Marshal(&canonB)
+	if string(ja) != string(jb) {
+		t.Fatalf("recovered repair report differs from original:\n%s\n%s", ja, jb)
+	}
+}
+
 // TestPersistPreservesEvictionOrder drives the result cache and the PR-3
 // reference model with the same randomized get/add stream, snapshots, reloads
 // into a fresh server, and demands the recovered recency order match the

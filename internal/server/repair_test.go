@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,24 +10,10 @@ import (
 	"testing"
 )
 
-// postRepair POSTs a repair request and decodes the response body into out.
+// postRepair is postTo on /v1/repair.
 func postRepair(t *testing.T, ts *httptest.Server, req *RepairRequest, out any) *http.Response {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := http.Post(ts.URL+"/v1/repair", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(res.Body).Decode(out); err != nil {
-			t.Fatalf("decoding %d response: %v", res.StatusCode, err)
-		}
-	}
-	return res
+	return postTo(t, ts, "/v1/repair", req, out)
 }
 
 func danglingElseSource(t *testing.T) string {

@@ -145,10 +145,9 @@ func (e *RequestTooLargeError) Error() string {
 type Server struct {
 	cfg Config
 	log *slog.Logger // never nil: a discard logger replaces Config.Logger == nil
-	// cache holds complete reports. Analysis and repair responses share it,
-	// disambiguated by key prefix ("repair|" + fingerprint × repair options
-	// vs fingerprint × options alone). Handlers copy the top-level struct
-	// before mutating it.
+	// cache holds complete reports, *AnalyzeResponse or *RepairResponse,
+	// under the keys resultKey builds. respond copies the top-level struct
+	// before stamping it.
 	cache *lru[any]
 	// compile holds compiled grammars, keyed by the canonical grammar
 	// fingerprint ALONE, unlike cache, whose key is fingerprint ×
@@ -571,8 +570,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 //	                     ?format=chrome for a chrome://tracing file)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("/v1/repair", s.handleRepair)
+	mux.HandleFunc("/v1/analyze", func(w http.ResponseWriter, r *http.Request) { s.serveV1(w, r, false) })
+	mux.HandleFunc("/v1/repair", func(w http.ResponseWriter, r *http.Request) { s.serveV1(w, r, true) })
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/traces", s.handleTraces)
@@ -673,7 +672,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // execute runs one admitted analysis (or analysis + repair, when rep is
 // non-nil) through the singleflight, the bounded queue, and the watchdog —
-// the shared middle of /v1/analyze and /v1/repair. Identical concurrent
+// serveV1's stage after the cache lookups and the parse. Identical concurrent
 // submissions ride one execution; the flight runs on a context detached from
 // any single client so a leader disconnect cannot poison followers; the
 // deadline still bounds it, and queue wait spends from the same budget.
@@ -739,9 +738,47 @@ func (s *Server) execute(reqCtx context.Context, key string, g *grammar.Grammar,
 	})
 }
 
-// handleAnalyze is the hot path: decode → fingerprint → cache → parse →
-// singleflight → bounded queue → search → respond.
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+// repairKeyPrefix marks a repair report's result-cache key; see resultKey.
+const repairKeyPrefix = "repair|"
+
+// resultKey builds every result-cache key, and so every persisted result
+// record's key: the canonical grammar fingerprint × the report-affecting
+// analyze options (optionsKey). A repair report (rep non-nil) is further
+// keyed by the advisor options, so the cache never serves a report computed
+// under different advisor settings, and carries repairKeyPrefix, so the two
+// routes never collide in the shared LRU; persister.loadRecord reads the
+// prefix back to restore a record's wire type.
+func resultKey(fp string, opts AnalyzeOptions, rep *RepairOptions) string {
+	if rep == nil {
+		return fp + "|" + opts.optionsKey()
+	}
+	return repairKeyPrefix + fp + "|" + opts.optionsKey() +
+		"|rb" + strconv.Itoa(rep.RepairBudget) + "|rc" + strconv.Itoa(rep.MaxCandidates)
+}
+
+// decodeV1 decodes the route's own request type. /v1/analyze's has no
+// "repair" field, so one there is ignored like any unknown field; rep is nil
+// on that route and points at the decoded advisor options on /v1/repair.
+func decodeV1(body io.Reader, repair bool) (req AnalyzeRequest, rep *RepairOptions, err error) {
+	if !repair {
+		ar := new(AnalyzeRequest)
+		err = json.NewDecoder(body).Decode(ar)
+		return *ar, nil, err
+	}
+	rr := new(RepairRequest)
+	err = json.NewDecoder(body).Decode(rr)
+	return AnalyzeRequest{Name: rr.Name, Grammar: rr.Grammar, Options: rr.Options}, &rr.Repair, err
+}
+
+// serveV1 is the one request pipeline behind POST /v1/analyze and POST
+// /v1/repair: decode → fingerprint → result cache → compile cache or parse →
+// singleflight → bounded queue → analysis → respond, with the repair advisor
+// run worker-side on the analysis result when repair is set. The route
+// decides only the decoded request type, the advisor-option validation, the
+// cache key and its span name, the repair counters, the response wrapper and
+// the failure message; limits, shedding, deadlines, the watchdog, drain and
+// the error mapping are shared. Complete reports are cached under resultKey.
+func (s *Server) serveV1(w http.ResponseWriter, r *http.Request, repair bool) {
 	start := time.Now()
 	s.health.request()
 	if r.Method != http.MethodPost {
@@ -758,8 +795,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// (independent of — and defaulting to headroom over — the GDL source
 	// limit) so oversized bodies die at the socket before any decoding.
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req AnalyzeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, rep, err := decodeV1(r.Body, repair)
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			te := &RequestTooLargeError{Limit: tooLarge.Limit}
@@ -777,6 +814,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, start, http.StatusUnprocessableEntity, "invalid_options", err.Error(), outcomeInvalid)
 		return
 	}
+	if rep != nil {
+		if err := rep.validate(); err != nil {
+			s.fail(w, start, http.StatusUnprocessableEntity, "invalid_options", err.Error(), outcomeInvalid)
+			return
+		}
+	}
 	name := req.Name
 	if name == "" {
 		name = "grammar"
@@ -791,20 +834,22 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.failParse(w, start, err)
 		return
 	}
-	key := fp + "|" + req.Options.optionsKey()
-	lookup := trace.Child(ctx, "cache.result")
-	if cached, ok := s.cache.get(key); ok {
-		// Injected cache-node loss: the hit is discarded and the analysis
-		// re-runs, exercising the miss path's correctness under chaos.
-		if !faults.Should(faults.ServerCache) {
-			lookup.Set("hit", true)
-			lookup.End()
-			resp := *cached.(*AnalyzeResponse) // shallow copy: slices are shared, immutable
-			resp.Cached = true
-			resp.Timings = Timings{} // no phase ran; respond stamps TotalMS
-			s.respond(w, start, http.StatusOK, &resp, outcomeCacheHit)
-			return
+	key := resultKey(fp, req.Options, rep)
+	span := "cache.result"
+	if repair {
+		span = "cache.repair"
+	}
+	lookup := trace.Child(ctx, span)
+	// Injected cache-node loss: the hit is discarded and the analysis
+	// re-runs, exercising the miss path's correctness under chaos.
+	if cached, ok := s.cache.get(key); ok && !faults.Should(faults.ServerCache) {
+		lookup.Set("hit", true)
+		lookup.End()
+		if repair {
+			s.m.repairCacheHits.Add(1)
 		}
+		s.respond(w, start, http.StatusOK, cached, outcomeCacheHit)
+		return
 	}
 	lookup.Set("hit", false)
 	lookup.End()
@@ -848,7 +893,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.m.inflight.Add(1)
 	defer s.m.inflight.Add(-1)
 
-	res, err, shared := s.execute(ctx, key, g, name, fp, req.Grammar, compiled, req.Options, nil, deadline, parseMS)
+	res, err, shared := s.execute(ctx, key, g, name, fp, req.Grammar, compiled, req.Options, rep, deadline, parseMS)
 	switch {
 	case errors.Is(err, errOverloaded):
 		s.m.shed.Add(1)
@@ -872,17 +917,26 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	switch res.status {
-	case http.StatusOK:
-		s.addResult(ctx, key, res.resp)
-		s.respond(w, start, http.StatusOK, res.resp, outcomeOK)
-	case http.StatusGatewayTimeout:
+	case http.StatusOK, http.StatusGatewayTimeout:
+		var report any = res.resp
+		if repair {
+			report = &RepairResponse{AnalyzeResponse: *res.resp, Repair: res.repair}
+		}
 		// Partial reports are never cached: a longer-deadline retry must
-		// re-run the search.
-		s.respond(w, start, http.StatusGatewayTimeout, res.resp, outcomePartial)
+		// re-run the search (and the repair validation).
+		outcome := outcomePartial
+		if res.status == http.StatusOK {
+			s.addResult(ctx, key, report)
+			outcome = outcomeOK
+		}
+		s.respond(w, start, res.status, report, outcome)
 	case http.StatusServiceUnavailable:
 		s.unavailable(w, start)
 	default:
 		msg := "analysis failed"
+		if repair {
+			msg = "repair failed"
+		}
 		if res.err != nil {
 			msg = res.err.Error()
 		}
@@ -910,14 +964,36 @@ func (s *Server) unavailable(w http.ResponseWriter, start time.Time) {
 	s.fail(w, start, http.StatusServiceUnavailable, "draining", "server is shutting down", outcomeUnavailable)
 }
 
-// respond writes a success (or partial) report and records the outcome. It
-// shallow-copies the report before stamping the per-request total so cached
-// and singleflight-shared reports are never mutated after publication.
-func (s *Server) respond(w http.ResponseWriter, start time.Time, status int, resp *AnalyzeResponse, outcome string) {
-	out := *resp
+// respond writes a success (or partial) report — an *AnalyzeResponse, or a
+// *RepairResponse on /v1/repair — and records the outcome. It copies the
+// report before stamping the per-request fields so cached and
+// singleflight-shared reports are never mutated after publication. A cache
+// hit ran no phase, so it reports only its own total. Served repair
+// suggestions are counted here, cache hits included: a served suggestion is
+// a served suggestion however it was computed.
+func (s *Server) respond(w http.ResponseWriter, start time.Time, status int, report any, outcome string) {
+	var out RepairResponse
+	var body any = &out.AnalyzeResponse
+	switch r := report.(type) {
+	case *AnalyzeResponse:
+		out.AnalyzeResponse = *r
+	case *RepairResponse:
+		out, body = *r, &out
+		if r.Repair != nil {
+			served := 0
+			for _, adv := range r.Repair.PerConflict {
+				served += len(adv.Suggestions)
+			}
+			s.m.repairSuggestions.Add(int64(served))
+		}
+	}
+	if outcome == outcomeCacheHit {
+		out.Cached = true
+		out.Timings = Timings{}
+	}
 	out.Timings.TotalMS = msSince(start)
 	s.m.observe(outcome, time.Since(start))
-	writeJSON(w, status, &out)
+	writeJSON(w, status, body)
 }
 
 // fail writes an ErrorResponse and records the outcome.

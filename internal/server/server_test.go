@@ -42,14 +42,26 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// tryAnalyze POSTs a request and returns the status code; it never touches
-// *testing.T, so it is safe to call from helper goroutines.
-func tryAnalyze(ts *httptest.Server, req *AnalyzeRequest) (int, error) {
+// v1Routes are the two POST routes served by one request pipeline. The
+// protocol tests loop over both, so every status code, error code and header
+// is pinned on each route.
+var v1Routes = []struct {
+	name, path string
+	// body builds the route's own request type.
+	body func(grammar string, opts AnalyzeOptions) any
+}{
+	{"analyze", "/v1/analyze", func(g string, o AnalyzeOptions) any { return &AnalyzeRequest{Grammar: g, Options: o} }},
+	{"repair", "/v1/repair", func(g string, o AnalyzeOptions) any { return &RepairRequest{Grammar: g, Options: o} }},
+}
+
+// tryPost POSTs req as JSON to path and returns the status code; it never
+// touches *testing.T, so it is safe to call from helper goroutines.
+func tryPost(ts *httptest.Server, path string, req any) (int, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return 0, err
 	}
-	res, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
+	res, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
@@ -58,14 +70,19 @@ func tryAnalyze(ts *httptest.Server, req *AnalyzeRequest) (int, error) {
 	return res.StatusCode, nil
 }
 
-// postAnalyze POSTs a request and decodes the response body into out.
-func postAnalyze(t *testing.T, ts *httptest.Server, req *AnalyzeRequest, out any) *http.Response {
+// tryAnalyze is tryPost on /v1/analyze.
+func tryAnalyze(ts *httptest.Server, req *AnalyzeRequest) (int, error) {
+	return tryPost(ts, "/v1/analyze", req)
+}
+
+// postTo POSTs req as JSON to path and decodes the response body into out.
+func postTo(t *testing.T, ts *httptest.Server, path string, req, out any) *http.Response {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
+	res, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +93,12 @@ func postAnalyze(t *testing.T, ts *httptest.Server, req *AnalyzeRequest, out any
 		}
 	}
 	return res
+}
+
+// postAnalyze is postTo on /v1/analyze.
+func postAnalyze(t *testing.T, ts *httptest.Server, req *AnalyzeRequest, out any) *http.Response {
+	t.Helper()
+	return postTo(t, ts, "/v1/analyze", req, out)
 }
 
 func TestAnalyzeBasic(t *testing.T) {
@@ -197,69 +220,89 @@ func checkHitTimings(t *testing.T, tm Timings) {
 
 func TestMalformedRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	for _, rt := range v1Routes {
+		t.Run(rt.name, func(t *testing.T) {
+			// Malformed JSON.
+			var er ErrorResponse
+			res, err := http.Post(ts.URL+rt.path, "application/json", strings.NewReader("{nope"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			json.NewDecoder(res.Body).Decode(&er)
+			res.Body.Close()
+			if res.StatusCode != http.StatusUnprocessableEntity || er.Code != "invalid_json" {
+				t.Fatalf("malformed JSON: status=%d code=%q, want 422 invalid_json", res.StatusCode, er.Code)
+			}
 
-	// Malformed JSON.
-	res, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Body.Close()
-	if res.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("malformed JSON: status = %d, want 422", res.StatusCode)
+			// Malformed GDL.
+			res = postTo(t, ts, rt.path, rt.body("x : 'unterminated", AnalyzeOptions{}), &er)
+			if res.StatusCode != http.StatusUnprocessableEntity || er.Code != "parse_error" {
+				t.Fatalf("malformed GDL: status=%d code=%q", res.StatusCode, er.Code)
+			}
+
+			// Missing grammar.
+			res = postTo(t, ts, rt.path, rt.body("", AnalyzeOptions{}), &er)
+			if res.StatusCode != http.StatusUnprocessableEntity || er.Code != "invalid_json" {
+				t.Fatalf("missing grammar: status=%d code=%q, want 422 invalid_json", res.StatusCode, er.Code)
+			}
+
+			// Invalid options.
+			res = postTo(t, ts, rt.path, rt.body("x : 'a' ;", AnalyzeOptions{Kinds: []string{"bogus"}}), &er)
+			if res.StatusCode != http.StatusUnprocessableEntity || er.Code != "invalid_options" {
+				t.Fatalf("invalid kinds: status=%d code=%q", res.StatusCode, er.Code)
+			}
+
+			// Wrong method.
+			mres, err := http.Get(ts.URL + rt.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mres.Body.Close()
+			if mres.StatusCode != http.StatusMethodNotAllowed || mres.Header.Get("Allow") != http.MethodPost {
+				t.Fatalf("GET: status = %d Allow = %q, want 405 POST", mres.StatusCode, mres.Header.Get("Allow"))
+			}
+		})
 	}
 
-	// Malformed GDL.
+	// Advisor options are validated on /v1/repair only: /v1/analyze decodes
+	// its own request type, which has no "repair" field, and ignores it like
+	// any unknown field.
+	bad := map[string]any{"grammar": "x : 'a' ;", "repair": map[string]int{"repair_budget": -1}}
 	var er ErrorResponse
-	res = postAnalyze(t, ts, &AnalyzeRequest{Grammar: "x : 'unterminated"}, &er)
-	if res.StatusCode != http.StatusUnprocessableEntity || er.Code != "parse_error" {
-		t.Fatalf("malformed GDL: status=%d code=%q", res.StatusCode, er.Code)
-	}
-
-	// Missing grammar.
-	res = postAnalyze(t, ts, &AnalyzeRequest{}, &er)
-	if res.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("missing grammar: status = %d", res.StatusCode)
-	}
-
-	// Invalid options.
-	res = postAnalyze(t, ts, &AnalyzeRequest{Grammar: "x : 'a' ;", Options: AnalyzeOptions{Kinds: []string{"bogus"}}}, &er)
+	res := postTo(t, ts, "/v1/repair", bad, &er)
 	if res.StatusCode != http.StatusUnprocessableEntity || er.Code != "invalid_options" {
-		t.Fatalf("invalid kinds: status=%d code=%q", res.StatusCode, er.Code)
+		t.Fatalf("negative repair_budget on /v1/repair: status=%d code=%q", res.StatusCode, er.Code)
 	}
-
-	// Wrong method.
-	mres, err := http.Get(ts.URL + "/v1/analyze")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mres.Body.Close()
-	if mres.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET: status = %d, want 405", mres.StatusCode)
+	if res := postTo(t, ts, "/v1/analyze", bad, &AnalyzeResponse{}); res.StatusCode != http.StatusOK {
+		t.Fatalf("repair options on /v1/analyze: status = %d, want 200 (field ignored)", res.StatusCode)
 	}
 }
 
 func TestSourceLimits(t *testing.T) {
 	_, ts := newTestServer(t, Config{Limits: gdl.Limits{MaxSourceBytes: 128, MaxProductions: 4, MaxSymbols: 8}})
+	for _, rt := range v1Routes {
+		t.Run(rt.name, func(t *testing.T) {
+			// Oversized source → 413.
+			var er ErrorResponse
+			big := "x : " + strings.Repeat("'a' ", 100) + ";"
+			res := postTo(t, ts, rt.path, rt.body(big, AnalyzeOptions{}), &er)
+			if res.StatusCode != http.StatusRequestEntityTooLarge || er.Code != "too_large" {
+				t.Fatalf("oversized: status=%d code=%q", res.StatusCode, er.Code)
+			}
 
-	// Oversized source → 413.
-	var er ErrorResponse
-	big := "x : " + strings.Repeat("'a' ", 100) + ";"
-	res := postAnalyze(t, ts, &AnalyzeRequest{Grammar: big}, &er)
-	if res.StatusCode != http.StatusRequestEntityTooLarge || er.Code != "too_large" {
-		t.Fatalf("oversized: status=%d code=%q", res.StatusCode, er.Code)
-	}
+			// Structurally oversized grammar → 422 with the typed-limit code.
+			many := "x : a | b | c | d | e ;"
+			res = postTo(t, ts, rt.path, rt.body(many, AnalyzeOptions{}), &er)
+			if res.StatusCode != http.StatusUnprocessableEntity || er.Code != "limit_exceeded" {
+				t.Fatalf("too many productions: status=%d code=%q body=%q", res.StatusCode, er.Code, er.Error)
+			}
 
-	// Structurally oversized grammar → 422 with the typed-limit code.
-	many := "x : a | b | c | d | e ;"
-	res = postAnalyze(t, ts, &AnalyzeRequest{Grammar: many}, &er)
-	if res.StatusCode != http.StatusUnprocessableEntity || er.Code != "limit_exceeded" {
-		t.Fatalf("too many productions: status=%d code=%q body=%q", res.StatusCode, er.Code, er.Error)
-	}
-
-	// Within limits → 200.
-	res = postAnalyze(t, ts, &AnalyzeRequest{Grammar: "x : 'a' | 'b' ;"}, &AnalyzeResponse{})
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("small grammar rejected: %d", res.StatusCode)
+			// Within limits → 200.
+			res = postTo(t, ts, rt.path, rt.body("x : 'a' | 'b' ;", AnalyzeOptions{}), &RepairResponse{})
+			if res.StatusCode != http.StatusOK {
+				t.Fatalf("small grammar rejected: %d", res.StatusCode)
+			}
+		})
 	}
 }
 
@@ -270,65 +313,110 @@ func uniqueGrammar(i int) string {
 }
 
 func TestQueueFullSheds429(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	started := make(chan struct{}, 8)
-	release := make(chan struct{})
-	s.testGate = func() {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-release
-	}
+	for _, rt := range v1Routes {
+		t.Run(rt.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+			started := make(chan struct{}, 8)
+			release := make(chan struct{})
+			s.testGate = func() {
+				select {
+				case started <- struct{}{}:
+				default:
+				}
+				<-release
+			}
 
-	// First request occupies the lone worker...
-	done1 := make(chan int, 1)
-	go func() {
-		code, _ := tryAnalyze(ts, &AnalyzeRequest{Grammar: uniqueGrammar(1)})
-		done1 <- code
-	}()
-	select {
-	case <-started:
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker never picked up the first job")
-	}
+			// First request occupies the lone worker...
+			done1 := make(chan int, 1)
+			go func() {
+				code, _ := tryPost(ts, rt.path, rt.body(uniqueGrammar(1), AnalyzeOptions{}))
+				done1 <- code
+			}()
+			select {
+			case <-started:
+			case <-time.After(10 * time.Second):
+				t.Fatal("worker never picked up the first job")
+			}
 
-	// ...the second fills the queue slot...
-	done2 := make(chan int, 1)
-	go func() {
-		code, _ := tryAnalyze(ts, &AnalyzeRequest{Grammar: uniqueGrammar(2)})
-		done2 <- code
-	}()
-	waitFor(t, func() bool { return len(s.jobs) == 1 }, "second job never queued")
+			// ...the second fills the queue slot...
+			done2 := make(chan int, 1)
+			go func() {
+				code, _ := tryPost(ts, rt.path, rt.body(uniqueGrammar(2), AnalyzeOptions{}))
+				done2 <- code
+			}()
+			waitFor(t, func() bool { return len(s.jobs) == 1 }, "second job never queued")
 
-	// ...and the third is shed with 429 + Retry-After.
-	var er ErrorResponse
-	body, _ := json.Marshal(&AnalyzeRequest{Grammar: uniqueGrammar(3)})
-	res, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	json.NewDecoder(res.Body).Decode(&er)
-	res.Body.Close()
-	if res.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("third request: status = %d, want 429", res.StatusCode)
-	}
-	if res.Header.Get("Retry-After") == "" {
-		t.Fatal("429 missing Retry-After")
-	}
-	if er.Code != "overloaded" {
-		t.Fatalf("429 code = %q", er.Code)
-	}
-	if s.m.shed.Load() != 1 {
-		t.Fatalf("shed counter = %d, want 1", s.m.shed.Load())
-	}
+			// ...and the third is shed with 429 + Retry-After.
+			var er ErrorResponse
+			res := postTo(t, ts, rt.path, rt.body(uniqueGrammar(3), AnalyzeOptions{}), &er)
+			if res.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("third request: status = %d, want 429", res.StatusCode)
+			}
+			if res.Header.Get("Retry-After") == "" {
+				t.Fatal("429 missing Retry-After")
+			}
+			if er.Code != "overloaded" || er.RetryAfterMS <= 0 {
+				t.Fatalf("429 body = %+v, want code overloaded with retry_after_ms", er)
+			}
+			if s.m.shed.Load() != 1 {
+				t.Fatalf("shed counter = %d, want 1", s.m.shed.Load())
+			}
 
-	close(release)
-	if code := <-done1; code != http.StatusOK {
-		t.Fatalf("first request: %d", code)
+			close(release)
+			if code := <-done1; code != http.StatusOK {
+				t.Fatalf("first request: %d", code)
+			}
+			if code := <-done2; code != http.StatusOK {
+				t.Fatalf("queued request: %d", code)
+			}
+		})
 	}
-	if code := <-done2; code != http.StatusOK {
-		t.Fatalf("queued request: %d", code)
+}
+
+// TestDrainAndCacheHitParity pins the two remaining shared outcomes on both
+// routes: a draining server refuses with 503 + Retry-After, and an identical
+// resubmission is a cache hit that reports only the time it spent.
+func TestDrainAndCacheHitParity(t *testing.T) {
+	src := danglingElseSource(t)
+	for _, rt := range v1Routes {
+		t.Run(rt.name, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{Workers: 1})
+			var first, second RepairResponse
+			if res := postTo(t, ts, rt.path, rt.body(src, AnalyzeOptions{}), &first); res.StatusCode != http.StatusOK {
+				t.Fatalf("first: status = %d", res.StatusCode)
+			}
+			if first.Cached || first.Timings.SearchMS <= 0 {
+				t.Fatalf("first: cached=%t search_ms=%v, want a fresh search", first.Cached, first.Timings.SearchMS)
+			}
+			if res := postTo(t, ts, rt.path, rt.body(src, AnalyzeOptions{}), &second); res.StatusCode != http.StatusOK {
+				t.Fatalf("resubmission: status = %d", res.StatusCode)
+			}
+			if !second.Cached {
+				t.Fatal("identical resubmission not served from the cache")
+			}
+			checkHitTimings(t, second.Timings)
+
+			s := New(Config{})
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			body, err := json.Marshal(rt.body(src, AnalyzeOptions{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, rt.path, bytes.NewReader(body)))
+			var er ErrorResponse
+			if err := json.NewDecoder(rec.Body).Decode(&er); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Code != http.StatusServiceUnavailable || er.Code != "draining" || er.RetryAfterMS <= 0 {
+				t.Fatalf("draining: status=%d body=%+v, want 503 draining with retry_after_ms", rec.Code, er)
+			}
+			if rec.Header().Get("Retry-After") == "" {
+				t.Fatal("503 missing Retry-After")
+			}
+		})
 	}
 }
 

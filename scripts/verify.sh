@@ -6,8 +6,8 @@
 #   tier 3: a short native-fuzz smoke of the whole pipeline
 #   tier 4: cexchaos smoke — the corpus served end to end through an
 #           in-process cexd and the typed client under a deterministic 5%
-#           fault schedule; fails on a crash, a malformed response, or a
-#           GLR-invalid surviving counterexample
+#           fault schedule; fails on a crash, a malformed response, a
+#           GLR-invalid surviving counterexample, or no GLR-validated one
 #   tier 5: cexdiff smoke — metamorphic differentials (3 mutators × 5
 #           grammars × 2 seeds); fails on any invariant violation or a
 #           j=1 vs j=8 canonical-report divergence
