@@ -147,11 +147,11 @@ func SortedNames() []string {
 	return ns
 }
 
-// SmokeNames is the small fixed subset the fast tiers (cexdiff -smoke,
-// verify.sh) run against: seconds, not minutes, while still covering
-// precedence declarations (simp2, SQL.1), an ambiguous textbook grammar
-// (figure1), an unambiguous one (figure3), and a conflict-dense one
-// (stackovf10).
+// SmokeNames is the small fixed subset the fast tiers (cexcampaign diff, fix
+// and restart under -smoke, verify.sh) run against: seconds, not minutes,
+// while still covering precedence declarations (simp2, SQL.1), an ambiguous
+// textbook grammar (figure1), an unambiguous one (figure3), and a
+// conflict-dense one (stackovf10).
 func SmokeNames() []string {
 	return []string{"figure1", "figure3", "simp2", "stackovf10", "SQL.1"}
 }

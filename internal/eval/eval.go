@@ -99,8 +99,8 @@ func Measure(e *corpus.Entry, opts Options) Row {
 }
 
 // MeasureContext is Measure with a caller context: cancellation propagates
-// into the search, and when ctx carries a trace span (cexeval -trace-out,
-// cextrace) the run records a grammar span with gdl.parse / table.build /
+// into the search, and when ctx carries a trace span (cexeval -trace-out)
+// the run records a grammar span with gdl.parse / table.build /
 // search children so the long-pole profiler can attribute conflict time to
 // grammars.
 func MeasureContext(ctx context.Context, e *corpus.Entry, opts Options) Row {

@@ -5,7 +5,7 @@
 // behavior on the original and the mutant.
 //
 // The central trick is that a mutated grammar is rebuilt through an IR that
-// replays the original symbol-interning order (see ir.go), so the mutant's
+// replays the original symbol-interning order (see grammar.IR), so the mutant's
 // Sym ids — and therefore its LALR automaton's state numbering — coincide
 // with the original's wherever the mutation is semantics-preserving. That
 // makes conflict coordinates directly comparable, and lets the

@@ -36,7 +36,7 @@ func inputFor(t *testing.T, name string) metamorph.Input {
 func TestIRRoundTrip(t *testing.T) {
 	for _, e := range corpus.All() {
 		g := e.Grammar()
-		g2, err := metamorph.FromGrammar(g).Build()
+		g2, err := grammar.FromGrammar(g).Build()
 		if err != nil {
 			t.Fatalf("%s: rebuild: %v", e.Name, err)
 		}

@@ -176,7 +176,7 @@ func churnSource(src string, rng *RNG, comments bool) string {
 // --- grammar-level mutators ----------------------------------------------
 
 func applyRenameSymbols(in Input, rng *RNG) (*Mutant, error) {
-	ir := FromGrammar(in.Grammar)
+	ir := grammar.FromGrammar(in.Grammar)
 	tag := rng.Uint64() & 0xffff
 	nt, tt := 0, 0
 	for id := 2; id < len(ir.Syms); id++ {
@@ -192,7 +192,7 @@ func applyRenameSymbols(in Input, rng *RNG) (*Mutant, error) {
 }
 
 func applyPrecGaps(in Input, rng *RNG) (*Mutant, error) {
-	ir := FromGrammar(in.Grammar)
+	ir := grammar.FromGrammar(in.Grammar)
 	stretch := 2 + rng.Intn(3)
 	offset := rng.Intn(5)
 	any := false
@@ -209,7 +209,7 @@ func applyPrecGaps(in Input, rng *RNG) (*Mutant, error) {
 }
 
 func applyReorderProds(in Input, rng *RNG) (*Mutant, error) {
-	ir := FromGrammar(in.Grammar)
+	ir := grammar.FromGrammar(in.Grammar)
 	if len(ir.Prods) < 2 {
 		return nil, nil
 	}
@@ -221,7 +221,7 @@ func applyReorderProds(in Input, rng *RNG) (*Mutant, error) {
 }
 
 func applyDropPrec(in Input, rng *RNG) (*Mutant, error) {
-	ir := FromGrammar(in.Grammar)
+	ir := grammar.FromGrammar(in.Grammar)
 	var decls []int
 	for id, e := range ir.Syms {
 		if e.Kind == grammar.Terminal && e.Prec > 0 {
@@ -257,12 +257,12 @@ func applyDropPrec(in Input, rng *RNG) (*Mutant, error) {
 }
 
 func applyDupProd(in Input, rng *RNG) (*Mutant, error) {
-	ir := FromGrammar(in.Grammar)
+	ir := grammar.FromGrammar(in.Grammar)
 	if len(ir.Prods) == 0 {
 		return nil, nil
 	}
 	p := ir.Prods[rng.Intn(len(ir.Prods))]
-	ir.Prods = append(ir.Prods, ProdIR{
+	ir.Prods = append(ir.Prods, grammar.ProdIR{
 		LHS:     p.LHS,
 		RHS:     append([]grammar.Sym(nil), p.RHS...),
 		PrecSym: p.PrecSym,
@@ -271,7 +271,7 @@ func applyDupProd(in Input, rng *RNG) (*Mutant, error) {
 }
 
 func applyUnfoldNonterm(in Input, rng *RNG) (*Mutant, error) {
-	ir := FromGrammar(in.Grammar)
+	ir := grammar.FromGrammar(in.Grammar)
 	type cand struct{ pi, pos int }
 	var cands []cand
 	for pi, p := range ir.Prods {
@@ -279,7 +279,7 @@ func applyUnfoldNonterm(in Input, rng *RNG) (*Mutant, error) {
 			if ir.Syms[s].Kind != grammar.Nonterminal {
 				continue
 			}
-			if alts := ir.prodsOf(s); len(alts) >= 1 && len(alts) <= 8 {
+			if alts := prodsOf(ir, s); len(alts) >= 1 && len(alts) <= 8 {
 				cands = append(cands, cand{pi, pos})
 			}
 		}
@@ -290,8 +290,8 @@ func applyUnfoldNonterm(in Input, rng *RNG) (*Mutant, error) {
 	c := cands[rng.Intn(len(cands))]
 	host := ir.Prods[c.pi]
 	target := host.RHS[c.pos]
-	var unfolded []ProdIR
-	for _, ai := range ir.prodsOf(target) {
+	var unfolded []grammar.ProdIR
+	for _, ai := range prodsOf(ir, target) {
 		alt := ir.Prods[ai]
 		rhs := make([]grammar.Sym, 0, len(host.RHS)-1+len(alt.RHS))
 		rhs = append(rhs, host.RHS[:c.pos]...)
@@ -299,9 +299,9 @@ func applyUnfoldNonterm(in Input, rng *RNG) (*Mutant, error) {
 		rhs = append(rhs, host.RHS[c.pos+1:]...)
 		// PrecSym is left to last-terminal inference: the unfolded bodies
 		// are new productions with no declared %prec.
-		unfolded = append(unfolded, ProdIR{LHS: host.LHS, RHS: rhs, PrecSym: grammar.NoSym})
+		unfolded = append(unfolded, grammar.ProdIR{LHS: host.LHS, RHS: rhs, PrecSym: grammar.NoSym})
 	}
-	prods := make([]ProdIR, 0, len(ir.Prods)-1+len(unfolded))
+	prods := make([]grammar.ProdIR, 0, len(ir.Prods)-1+len(unfolded))
 	prods = append(prods, ir.Prods[:c.pi]...)
 	prods = append(prods, unfolded...)
 	prods = append(prods, ir.Prods[c.pi+1:]...)
@@ -310,7 +310,7 @@ func applyUnfoldNonterm(in Input, rng *RNG) (*Mutant, error) {
 }
 
 func applySwapAssoc(in Input, rng *RNG) (*Mutant, error) {
-	ir := FromGrammar(in.Grammar)
+	ir := grammar.FromGrammar(in.Grammar)
 	seen := map[int]bool{}
 	var levels []int
 	for _, e := range ir.Syms {
@@ -343,7 +343,7 @@ func applySwapAssoc(in Input, rng *RNG) (*Mutant, error) {
 
 // buildMutant rebuilds the IR and attaches a GDL rendering when the mutant
 // is expressible (non-dense precedence levels, for one, are not).
-func buildMutant(ir *IR) (*Mutant, error) {
+func buildMutant(ir *grammar.IR) (*Mutant, error) {
 	g, err := ir.Build()
 	if err != nil {
 		return nil, err
@@ -353,4 +353,15 @@ func buildMutant(ir *IR) (*Mutant, error) {
 		src = ""
 	}
 	return &Mutant{Source: src, Grammar: g}, nil
+}
+
+// prodsOf returns the indices into ir.Prods whose LHS is n, in order.
+func prodsOf(ir *grammar.IR, n grammar.Sym) []int {
+	var out []int
+	for i, p := range ir.Prods {
+		if p.LHS == n {
+			out = append(out, i)
+		}
+	}
+	return out
 }

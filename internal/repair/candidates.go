@@ -65,7 +65,7 @@ type Candidate struct {
 // index); origSrc is the canonical print of the unrepaired grammar used to
 // compute Directives.
 func synthesize(g *grammar.Grammar, a *lr.Automaton, conflicts []lr.Conflict, examples []*core.Example, origSrc string, maxPerConflict int) []Candidate {
-	base := irFromGrammar(g)
+	base := grammar.FromGrammar(g)
 	var out []Candidate
 	for ci, c := range conflicts {
 		var ex *core.Example
@@ -81,10 +81,10 @@ func synthesize(g *grammar.Grammar, a *lr.Automaton, conflicts []lr.Conflict, ex
 	return out
 }
 
-func synthesizeConflict(base *ir, g *grammar.Grammar, a *lr.Automaton, c lr.Conflict, ci int, ex *core.Example, origSrc string) []Candidate {
+func synthesizeConflict(base *grammar.IR, g *grammar.Grammar, a *lr.Automaton, c lr.Conflict, ci int, ex *core.Example, origSrc string) []Candidate {
 	var out []Candidate
-	emit := func(id, kind, prefers, summary string, mut *ir) {
-		g2, err := mut.build()
+	emit := func(id, kind, prefers, summary string, mut *grammar.IR) {
+		g2, err := mut.Build()
 		if err != nil {
 			return
 		}
@@ -121,11 +121,11 @@ func synthesizeConflict(base *ir, g *grammar.Grammar, a *lr.Automaton, c lr.Conf
 				{"right", "shift", grammar.AssocRight},
 				{"nonassoc", "error", grammar.AssocNone},
 			} {
-				mut := base.clone()
-				if mut.syms[t].prec == 0 {
-					mut.syms[t].prec = mut.maxPrecLevel() + 1
+				mut := base.Clone()
+				if mut.Syms[t].Prec == 0 {
+					mut.Syms[t].Prec = maxPrecLevel(mut) + 1
 				}
-				mut.syms[t].assoc = v.assoc
+				mut.Syms[t].Assoc = v.assoc
 				emit("prec-"+v.label, KindPrecedence, v.prefers,
 					fmt.Sprintf("declare %%%s %s so state %d %ss on %s", v.label, tn, c.State, v.prefers, tn),
 					mut)
@@ -136,14 +136,14 @@ func synthesizeConflict(base *ir, g *grammar.Grammar, a *lr.Automaton, c lr.Conf
 			// below ps reduces — the classic dangling-else declaration is
 			// the shift ordering with ps = 'then', t = 'else'.
 			pn := g.Name(ps)
-			mut := base.clone()
-			if mut.declareAbove(ps, t) {
+			mut := base.Clone()
+			if declareAbove(mut, ps, t) {
 				emit("order-shift", KindPrecedence, "shift",
 					fmt.Sprintf("give %s lower precedence than %s so state %d shifts %s", pn, tn, c.State, tn),
 					mut)
 			}
-			mut = base.clone()
-			if mut.declareAbove(t, ps) {
+			mut = base.Clone()
+			if declareAbove(mut, t, ps) {
 				emit("order-reduce", KindPrecedence, "reduce",
 					fmt.Sprintf("give %s lower precedence than %s so state %d reduces %s", tn, pn, c.State, g.ProdString(p1id)),
 					mut)
@@ -159,8 +159,8 @@ func synthesizeConflict(base *ir, g *grammar.Grammar, a *lr.Automaton, c lr.Conf
 				case grammar.AssocRight:
 					prefers = "shift"
 				}
-				mut := base.clone()
-				mut.prods[p1id-1].precSym = t
+				mut := base.Clone()
+				mut.Prods[p1id-1].PrecSym = t
 				emit("precsym", KindProdPrec, prefers,
 					fmt.Sprintf("add %%prec %s to %s so the declared associativity of %s resolves state %d", tn, g.ProdString(p1id), tn, c.State),
 					mut)
@@ -172,10 +172,10 @@ func synthesizeConflict(base *ir, g *grammar.Grammar, a *lr.Automaton, c lr.Conf
 					{"left", "reduce", grammar.AssocLeft},
 					{"right", "shift", grammar.AssocRight},
 				} {
-					mut := base.clone()
-					mut.syms[t].prec = mut.maxPrecLevel() + 1
-					mut.syms[t].assoc = v.assoc
-					mut.prods[p1id-1].precSym = t
+					mut := base.Clone()
+					mut.Syms[t].Prec = maxPrecLevel(mut) + 1
+					mut.Syms[t].Assoc = v.assoc
+					mut.Prods[p1id-1].PrecSym = t
 					emit("precsym-"+v.label, KindProdPrec, v.prefers,
 						fmt.Sprintf("declare %%%s %s and add %%prec %s to %s so state %d %ss", v.label, tn, tn, g.ProdString(p1id), c.State, v.prefers),
 						mut)
@@ -201,8 +201,8 @@ func synthesizeConflict(base *ir, g *grammar.Grammar, a *lr.Automaton, c lr.Conf
 		if p1id > p2id {
 			drop = p1id
 		}
-		mut := base.clone()
-		mut.prods = append(mut.prods[:drop-1:drop-1], mut.prods[drop:]...)
+		mut := base.Clone()
+		mut.Prods = append(mut.Prods[:drop-1:drop-1], mut.Prods[drop:]...)
 		emit("drop-dup", KindDropDuplicate, "reduce",
 			fmt.Sprintf("drop duplicate production %s (declared twice; the reduce/reduce conflict in state %d is between the two copies)", g.ProdString(drop), c.State),
 			mut)
@@ -217,7 +217,7 @@ func synthesizeConflict(base *ir, g *grammar.Grammar, a *lr.Automaton, c lr.Conf
 // rewrites the nonterminal into the classic matched/open factoring, which
 // preserves the language while forcing each dangling t to pair with the
 // nearest open prefix.
-func danglingElseRewrite(base *ir, g *grammar.Grammar, a *lr.Automaton, c lr.Conflict) (*ir, string) {
+func danglingElseRewrite(base *grammar.IR, g *grammar.Grammar, a *lr.Automaton, c lr.Conflict) (*grammar.IR, string) {
 	p1id, p2id := a.Prod(c.Item1), a.Prod(c.Item2)
 	p1, p2 := g.Production(p1id), g.Production(p2id)
 	d := a.Dot(c.Item2)
@@ -234,9 +234,9 @@ func danglingElseRewrite(base *ir, g *grammar.Grammar, a *lr.Automaton, c lr.Con
 	gamma := p1.RHS[:len(p1.RHS)-1]    // "if expr then"
 	tau := p2.RHS[d+1 : len(p2.RHS)-1] // between t and the trailing LHS
 
-	mut := base.clone()
-	matched := mut.addNonterminal(mut.freshName(g.Name(s), "_matched"))
-	open := mut.addNonterminal(mut.freshName(g.Name(s), "_open"))
+	mut := base.Clone()
+	matched := addNonterminal(mut, freshName(mut, g.Name(s), "_matched"))
+	open := addNonterminal(mut, freshName(mut, g.Name(s), "_open"))
 
 	sub := func(rhs []grammar.Sym, from, to grammar.Sym) []grammar.Sym {
 		out := append([]grammar.Sym(nil), rhs...)
@@ -251,35 +251,35 @@ func danglingElseRewrite(base *ir, g *grammar.Grammar, a *lr.Automaton, c lr.Con
 	mid = append(mid, matched, c.Sym)
 	mid = append(mid, tau...)
 
-	var prods []prodIR
-	var tailProds []prodIR
+	var prods []grammar.ProdIR
+	var tailProds []grammar.ProdIR
 	placed := false
-	for i, p := range mut.prods {
+	for i, p := range mut.Prods {
 		pid := i + 1
-		if p.lhs != s {
+		if p.LHS != s {
 			prods = append(prods, p)
 			continue
 		}
 		if !placed {
 			placed = true
 			prods = append(prods,
-				prodIR{lhs: s, rhs: []grammar.Sym{matched}, precSym: grammar.NoSym},
-				prodIR{lhs: s, rhs: []grammar.Sym{open}, precSym: grammar.NoSym})
+				grammar.ProdIR{LHS: s, RHS: []grammar.Sym{matched}, PrecSym: grammar.NoSym},
+				grammar.ProdIR{LHS: s, RHS: []grammar.Sym{open}, PrecSym: grammar.NoSym})
 			// matched: the fully-paired form, then every other alternative
 			// of s with trailing recursion redirected to matched.
-			tailProds = append(tailProds, prodIR{lhs: matched, rhs: append(append([]grammar.Sym(nil), mid...), matched), precSym: grammar.NoSym})
+			tailProds = append(tailProds, grammar.ProdIR{LHS: matched, RHS: append(append([]grammar.Sym(nil), mid...), matched), PrecSym: grammar.NoSym})
 		}
 		if pid == p1id || pid == p2id {
 			continue
 		}
-		tailProds = append(tailProds, prodIR{lhs: matched, rhs: sub(p.rhs, s, matched), precSym: p.precSym})
+		tailProds = append(tailProds, grammar.ProdIR{LHS: matched, RHS: sub(p.RHS, s, matched), PrecSym: p.PrecSym})
 	}
 	// open: the unpaired prefix (which may end in anything), and the paired
 	// form whose trailing statement is itself open.
 	tailProds = append(tailProds,
-		prodIR{lhs: open, rhs: append(append([]grammar.Sym(nil), gamma...), s), precSym: grammar.NoSym},
-		prodIR{lhs: open, rhs: append(append([]grammar.Sym(nil), mid...), open), precSym: grammar.NoSym})
-	mut.prods = append(prods, tailProds...)
+		grammar.ProdIR{LHS: open, RHS: append(append([]grammar.Sym(nil), gamma...), s), PrecSym: grammar.NoSym},
+		grammar.ProdIR{LHS: open, RHS: append(append([]grammar.Sym(nil), mid...), open), PrecSym: grammar.NoSym})
+	mut.Prods = append(prods, tailProds...)
 	return mut, fmt.Sprintf("factor %s into matched/open forms so every %s pairs with the nearest open %s",
 		g.Name(s), g.Name(c.Sym), g.SymString(gamma))
 }
@@ -292,7 +292,7 @@ func danglingElseRewrite(base *ir, g *grammar.Grammar, a *lr.Automaton, c lr.Con
 // E -> E op E', with the remaining alternatives demoted to a fresh E'. The
 // rewrite keeps the language (every sentence keeps at least its left-leaning
 // parse) while making all chained operators left-associative at one level.
-func operatorChainRewrite(base *ir, g *grammar.Grammar, a *lr.Automaton, c lr.Conflict, ex *core.Example) (*ir, string) {
+func operatorChainRewrite(base *grammar.IR, g *grammar.Grammar, a *lr.Automaton, c lr.Conflict, ex *core.Example) (*grammar.IR, string) {
 	p1id := a.Prod(c.Item1)
 	p1 := g.Production(p1id)
 	e := p1.LHS
@@ -304,13 +304,13 @@ func operatorChainRewrite(base *ir, g *grammar.Grammar, a *lr.Automaton, c lr.Co
 	if ex != nil && ex.Kind.IsUnifying() && ex.Nonterminal != e {
 		return nil, ""
 	}
-	isChain := func(p prodIR) bool {
-		return len(p.rhs) == 3 && p.rhs[0] == e && p.rhs[2] == e &&
-			base.syms[p.rhs[1]].kind == grammar.Terminal
+	isChain := func(p grammar.ProdIR) bool {
+		return len(p.RHS) == 3 && p.RHS[0] == e && p.RHS[2] == e &&
+			base.Syms[p.RHS[1]].Kind == grammar.Terminal
 	}
 	hasBase := false
-	for _, p := range base.prods {
-		if p.lhs == e && !isChain(p) {
+	for _, p := range base.Prods {
+		if p.LHS == e && !isChain(p) {
 			hasBase = true
 			break
 		}
@@ -318,22 +318,22 @@ func operatorChainRewrite(base *ir, g *grammar.Grammar, a *lr.Automaton, c lr.Co
 	if !hasBase {
 		return nil, ""
 	}
-	mut := base.clone()
-	prim := mut.addNonterminal(mut.freshName(g.Name(e), "_prim"))
-	for i := range mut.prods {
-		p := &mut.prods[i]
-		if p.lhs != e {
+	mut := base.Clone()
+	prim := addNonterminal(mut, freshName(mut, g.Name(e), "_prim"))
+	for i := range mut.Prods {
+		p := &mut.Prods[i]
+		if p.LHS != e {
 			continue
 		}
 		if isChain(*p) {
-			p.rhs[2] = prim
+			p.RHS[2] = prim
 		} else {
-			p.lhs = prim
+			p.LHS = prim
 		}
 	}
-	mut.prods = append(mut.prods, prodIR{lhs: e, rhs: []grammar.Sym{prim}, precSym: grammar.NoSym})
+	mut.Prods = append(mut.Prods, grammar.ProdIR{LHS: e, RHS: []grammar.Sym{prim}, PrecSym: grammar.NoSym})
 	return mut, fmt.Sprintf("stratify the operator chain: %s keeps one left-recursive level per operator and a fresh %s holds the operands",
-		g.Name(e), mut.syms[prim].name)
+		g.Name(e), mut.Syms[prim].Name)
 }
 
 func symsEqual(a, b []grammar.Sym) bool {

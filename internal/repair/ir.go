@@ -6,100 +6,18 @@ import (
 	"lrcex/internal/grammar"
 )
 
-// symIR and prodIR form the mutable grammar representation candidate
-// synthesis edits. The design repeats the metamorph.IR rebuild idiom: the
-// index of a symbol in ir.syms IS its Sym id, and build replays the interning
-// in id order into a fresh Builder, so every mutation that only appends
-// symbols or edits precedence preserves the original ids. Repair candidates
-// never depend on id stability (each patch is reparsed from source before
-// validation), but keeping it makes the IR → gdl.Print pipeline trivially
-// deterministic.
-type symIR struct {
-	name  string
-	kind  grammar.Kind
-	prec  int // 0 = undeclared; levels are kept dense so gdl.Print accepts them
-	assoc grammar.Assoc
-}
-
-type prodIR struct {
-	lhs     grammar.Sym
-	rhs     []grammar.Sym
-	precSym grammar.Sym
-}
-
-type ir struct {
-	syms  []symIR
-	prods []prodIR // user productions; the augmented production 0 is implicit
-	start grammar.Sym
-}
-
-func irFromGrammar(g *grammar.Grammar) *ir {
-	out := &ir{start: g.StartSym()}
-	for id := 0; id < g.NumSymbols(); id++ {
-		s := grammar.Sym(id)
-		e := symIR{name: g.Name(s), kind: g.KindOf(s)}
-		if e.kind == grammar.Terminal {
-			e.prec, e.assoc = g.Prec(s)
-		}
-		out.syms = append(out.syms, e)
-	}
-	for pid := 1; pid < g.NumProductions(); pid++ {
-		p := g.Production(pid)
-		out.prods = append(out.prods, prodIR{
-			lhs:     p.LHS,
-			rhs:     append([]grammar.Sym(nil), p.RHS...),
-			precSym: p.PrecSym,
-		})
-	}
-	return out
-}
-
-func (r *ir) clone() *ir {
-	out := &ir{
-		syms:  append([]symIR(nil), r.syms...),
-		prods: make([]prodIR, len(r.prods)),
-		start: r.start,
-	}
-	for i, p := range r.prods {
-		out.prods[i] = prodIR{lhs: p.lhs, rhs: append([]grammar.Sym(nil), p.rhs...), precSym: p.precSym}
-	}
-	return out
-}
-
-// build reconstructs a Grammar, verifying that interning reproduces every IR
-// index so a name collision cannot silently merge two symbols.
-func (r *ir) build() (*grammar.Grammar, error) {
-	b := grammar.NewBuilder()
-	for id := 2; id < len(r.syms); id++ {
-		e := r.syms[id]
-		var got grammar.Sym
-		if e.kind == grammar.Terminal {
-			got = b.Terminal(e.name)
-		} else {
-			got = b.Nonterminal(e.name)
-		}
-		if got != grammar.Sym(id) {
-			return nil, fmt.Errorf("repair: interning %q gave id %d, want %d (name collision?)", e.name, got, id)
-		}
-	}
-	for id, e := range r.syms {
-		if e.kind == grammar.Terminal && e.prec > 0 {
-			b.SetPrec(grammar.Sym(id), e.prec, e.assoc)
-		}
-	}
-	b.SetStart(r.start)
-	for _, p := range r.prods {
-		b.Add(p.lhs, p.rhs, p.precSym)
-	}
-	return b.Build()
-}
+// Candidate synthesis edits a grammar.IR. Repair candidates never depend on
+// symbol-id stability (each patch is reparsed from source before
+// validation), but the IR keeps it anyway, which makes the IR → gdl.Print
+// pipeline trivially deterministic. The edits below keep precedence levels
+// dense, the form gdl.Print accepts.
 
 // maxPrecLevel returns the highest declared precedence level (0 when none).
-func (r *ir) maxPrecLevel() int {
+func maxPrecLevel(r *grammar.IR) int {
 	max := 0
-	for _, e := range r.syms {
-		if e.kind == grammar.Terminal && e.prec > max {
-			max = e.prec
+	for _, e := range r.Syms {
+		if e.Kind == grammar.Terminal && e.Prec > max {
+			max = e.Prec
 		}
 	}
 	return max
@@ -108,10 +26,10 @@ func (r *ir) maxPrecLevel() int {
 // openLevel makes room for a new precedence level at the given rank by
 // shifting every declared level >= level up one, keeping levels dense (the
 // form gdl.Print requires).
-func (r *ir) openLevel(level int) {
-	for i := range r.syms {
-		if r.syms[i].kind == grammar.Terminal && r.syms[i].prec >= level {
-			r.syms[i].prec++
+func openLevel(r *grammar.IR, level int) {
+	for i := range r.Syms {
+		if r.Syms[i].Kind == grammar.Terminal && r.Syms[i].Prec >= level {
+			r.Syms[i].Prec++
 		}
 	}
 }
@@ -122,39 +40,39 @@ func (r *ir) openLevel(level int) {
 // %nonassoc is the conventional spelling for pure-ordering declarations).
 // It reports false when both terminals already hold levels in the wrong
 // order — reshuffling a user's existing table is not a fix we propose.
-func (r *ir) declareAbove(lo, hi grammar.Sym) bool {
-	lp, hp := r.syms[lo].prec, r.syms[hi].prec
+func declareAbove(r *grammar.IR, lo, hi grammar.Sym) bool {
+	lp, hp := r.Syms[lo].Prec, r.Syms[hi].Prec
 	switch {
 	case lp > 0 && hp > 0:
 		return lp < hp
 	case lp > 0: // hi undeclared: slot it directly above lo
-		r.openLevel(lp + 1)
-		r.syms[hi].prec, r.syms[hi].assoc = lp+1, grammar.AssocNone
+		openLevel(r, lp+1)
+		r.Syms[hi].Prec, r.Syms[hi].Assoc = lp+1, grammar.AssocNone
 	case hp > 0: // lo undeclared: slot it directly below hi
-		r.openLevel(hp)
-		r.syms[lo].prec, r.syms[lo].assoc = hp, grammar.AssocNone
+		openLevel(r, hp)
+		r.Syms[lo].Prec, r.Syms[lo].Assoc = hp, grammar.AssocNone
 	default: // both undeclared: two fresh levels on top
-		m := r.maxPrecLevel()
-		r.syms[lo].prec, r.syms[lo].assoc = m+1, grammar.AssocNone
-		r.syms[hi].prec, r.syms[hi].assoc = m+2, grammar.AssocNone
+		m := maxPrecLevel(r)
+		r.Syms[lo].Prec, r.Syms[lo].Assoc = m+1, grammar.AssocNone
+		r.Syms[hi].Prec, r.Syms[hi].Assoc = m+2, grammar.AssocNone
 	}
 	return true
 }
 
 // addNonterminal appends a fresh nonterminal and returns its id.
-func (r *ir) addNonterminal(name string) grammar.Sym {
-	s := grammar.Sym(len(r.syms))
-	r.syms = append(r.syms, symIR{name: name, kind: grammar.Nonterminal})
+func addNonterminal(r *grammar.IR, name string) grammar.Sym {
+	s := grammar.Sym(len(r.Syms))
+	r.Syms = append(r.Syms, grammar.SymIR{Name: name, Kind: grammar.Nonterminal})
 	return s
 }
 
 // freshName derives an unused symbol name from base + suffix, appending a
 // counter on collision. The result stays a GDL identifier as long as base is
 // one (suffixes use only identifier characters).
-func (r *ir) freshName(base, suffix string) string {
-	taken := make(map[string]bool, len(r.syms))
-	for _, e := range r.syms {
-		taken[e.name] = true
+func freshName(r *grammar.IR, base, suffix string) string {
+	taken := make(map[string]bool, len(r.Syms))
+	for _, e := range r.Syms {
+		taken[e.Name] = true
 	}
 	name := base + suffix
 	for n := 2; taken[name]; n++ {

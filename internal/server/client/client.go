@@ -2,9 +2,9 @@
 // (internal/server): JSON encoding, deadline plumbing, and retry with
 // exponential backoff on load-shedding responses (429), drains (503), and
 // transient transport failures (connection refused/reset while the server
-// restarts), honoring the server's Retry-After hint. cmd/cexchaos and
-// cmd/cexrestart drive it in closed loops; embedders get the same behavior
-// programmatically.
+// restarts), honoring the server's Retry-After hint. The chaos and restart
+// campaigns (cmd/cexcampaign) drive it in closed loops; embedders get the
+// same behavior programmatically.
 package client
 
 import (

@@ -7,9 +7,9 @@ import (
 )
 
 // RepairOptions is the wire form of the advisor's tuning knobs — the same
-// two knobs cexgen and cexfix expose as -repair-budget and -max-candidates
-// (the cliflags parity test pins the pairing). Zero values select the
-// advisor's defaults.
+// two knobs cexgen and cexcampaign fix expose as -repair-budget and
+// -max-candidates (the cliflags parity test pins the pairing with cexgen's).
+// Zero values select the advisor's defaults.
 type RepairOptions struct {
 	// RepairBudget is the deterministic MaxConfigs budget for the advisor's
 	// searches: the up-front analysis reuse and the bounded re-analysis of
