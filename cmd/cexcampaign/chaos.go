@@ -203,6 +203,9 @@ func runChaos(args []string) int {
 	if err := c.Health(ctx); err != nil {
 		t.crashes = append(t.crashes, fmt.Sprintf("post-run health check failed: %v", err))
 	}
+	if rep.Degraded, err = degradedConflicts(ctx, c); err != nil {
+		t.crashes = append(t.crashes, fmt.Sprintf("post-run metrics scrape failed: %v", err))
+	}
 	if err := stop(); err != nil {
 		t.crashes = append(t.crashes, fmt.Sprintf("drain after chaos failed: %v", err))
 	}
@@ -231,8 +234,8 @@ func runChaos(args []string) int {
 	return verdict(*out, &rep, rep.Violations)
 }
 
-// chaosTally accumulates a run's outcomes into rep (Outcomes, Degraded,
-// Validated, OracleSkip) and its own fields; the workers share it under mu.
+// chaosTally accumulates a run's outcomes into rep (Outcomes, Validated,
+// OracleSkip) and its own fields; the workers share it under mu.
 type chaosTally struct {
 	mu        sync.Mutex
 	rep       *chaosReport
@@ -241,9 +244,7 @@ type chaosTally struct {
 	crashes   []string
 }
 
-// record folds one response into the tally. Degraded conflicts are counted
-// only on responses that ran the search: a cache hit replays the degradation
-// of the analysis it was cached from, which was counted when that ran.
+// record folds one response into the tally.
 func (t *chaosTally) record(name string, ms float64, resp *server.AnalyzeResponse, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -258,9 +259,18 @@ func (t *chaosTally) record(name string, ms float64, resp *server.AnalyzeRespons
 	default:
 		t.classify(name, err)
 	}
-	if resp != nil && !resp.Cached {
-		t.rep.Degraded += int64(resp.Degraded)
+}
+
+// degradedConflicts reads the server's cexd_search_degraded_total. Its one
+// producer is the worker, once per analysis that ran: a cache hit or a
+// singleflight follower shares the report of an analysis counted when it
+// ran, so summing the responses' degraded counts would count it again.
+func degradedConflicts(ctx context.Context, c *client.Client) (int64, error) {
+	text, err := c.Metrics(ctx)
+	if err != nil {
+		return 0, err
 	}
+	return metricValue(text, "cexd_search_degraded_total"), nil
 }
 
 // isPartial reports a 504 partial report (valid outcome, not a violation).

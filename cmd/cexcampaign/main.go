@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -213,4 +214,18 @@ func startInProcess(cfg server.Config) (base string, stop func() error, err erro
 		hs.Shutdown(ctx)
 		return s.Shutdown(ctx)
 	}, nil
+}
+
+// metricValue reads one integer sample off a /metrics text scrape (-1 when
+// the metric is absent).
+func metricValue(text, name string) int64 {
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, name+" ") {
+			v, err := strconv.ParseInt(strings.TrimSpace(strings.TrimPrefix(line, name+" ")), 10, 64)
+			if err == nil {
+				return v
+			}
+		}
+	}
+	return -1
 }

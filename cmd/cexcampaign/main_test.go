@@ -2,14 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"lrcex/internal/corpus"
 	"lrcex/internal/server"
+	"lrcex/internal/server/client"
 )
 
 // captureStdout points the report's stdout at a buffer for one test.
@@ -91,19 +94,91 @@ func TestVerdictFailsAfterWritingReport(t *testing.T) {
 	}
 }
 
-// TestChaosTallyCountsCachedDegradationOnce pins the degraded_conflicts
-// rule: a cache hit replays the degradation of the analysis it was cached
-// from and adds nothing; the analysis that ran does.
-func TestChaosTallyCountsCachedDegradationOnce(t *testing.T) {
+// TestChaosCountsFollowerDegradationOnce pins the degraded_conflicts rule
+// on the case that double-counted under a per-response sum: a singleflight
+// follower joins a degraded flight, both responses carry the flight's
+// degraded count uncached, and the chaos figure — the server's own counter —
+// counts the analysis once.
+func TestChaosCountsFollowerDegradationOnce(t *testing.T) {
+	base, stop, err := startInProcess(server.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	c := client.New(base, client.WithRetries(0))
+	ctx := context.Background()
+	entry := func(name string) *corpus.Entry {
+		e, ok := corpus.Get(name)
+		if !ok {
+			t.Fatalf("no corpus grammar %s", name)
+		}
+		return e
+	}
+
+	// The one worker is held by an unbudgeted Java.2 search until its
+	// deadline, so the degraded pair's leader waits in the queue and its
+	// twin joins the flight instead of finding a cached report.
+	java2 := entry("Java.2")
+	blocked := make(chan *server.AnalyzeResponse, 1)
+	go func() {
+		resp, _ := c.Analyze(ctx, &server.AnalyzeRequest{Name: java2.Name, Grammar: java2.Source,
+			Options: server.AnalyzeOptions{NoTimeout: true, DeadlineMS: 1500}})
+		blocked <- resp
+	}()
+	for {
+		text, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if metricValue(text, "cexd_in_flight") >= 1 {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// A one-byte arena budget degrades every figure1 conflict to a
+	// memory-capped nonunifying example.
+	fig1 := entry("figure1")
+	req := &server.AnalyzeRequest{Name: fig1.Name, Grammar: fig1.Source,
+		Options: server.AnalyzeOptions{NoTimeout: true, MaxArenaBytes: 1}}
+	resps := make([]*server.AnalyzeResponse, 2)
+	parallel(2, 2, func(i int) {
+		resp, err := c.Analyze(ctx, req)
+		if err != nil {
+			t.Errorf("figure1 request %d: %v", i, err)
+		}
+		resps[i] = resp
+	})
+	blocker := <-blocked
+	if blocker == nil || t.Failed() {
+		t.Fatalf("blocker response %v", blocker)
+	}
+	text, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := metricValue(text, "cexd_singleflight_collapsed_total"); n != 1 {
+		t.Fatalf("%d requests collapsed onto a flight, want the follower's 1", n)
+	}
+	per := resps[0].Degraded
+	if per == 0 || resps[1].Degraded != per || resps[0].Cached || resps[1].Cached {
+		t.Fatalf("pair degraded=%d/%d cached=%t/%t, want the same nonzero count, both uncached",
+			resps[0].Degraded, resps[1].Degraded, resps[0].Cached, resps[1].Cached)
+	}
+
 	var rep chaosReport
 	tally := chaosTally{rep: &rep}
-	tally.record("figure1", 1, &server.AnalyzeResponse{Degraded: 2}, nil)
-	tally.record("figure1", 1, &server.AnalyzeResponse{Degraded: 2, Cached: true}, nil)
-	tally.record("figure1", 1, &server.AnalyzeResponse{Degraded: 2, Cached: true}, nil)
-	if rep.Degraded != 2 {
-		t.Errorf("degraded_conflicts = %d over one degraded analysis served thrice, want 2", rep.Degraded)
+	for _, resp := range resps {
+		tally.record(fig1.Name, 1, resp, nil)
 	}
-	if rep.Outcomes.OK != 1 || rep.Outcomes.Cached != 2 || len(tally.lat) != 3 {
-		t.Errorf("outcomes %+v over %d requests, want 1 ok and 2 cached over 3", rep.Outcomes, len(tally.lat))
+	if rep.Outcomes.OK != 2 {
+		t.Errorf("outcomes %+v, want 2 ok", rep.Outcomes)
+	}
+	got, err := degradedConflicts(ctx, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(blocker.Degraded + per); got != want {
+		t.Errorf("degraded_conflicts = %d, want %d: the follower's shared report counted again", got, want)
 	}
 }

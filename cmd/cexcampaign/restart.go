@@ -9,7 +9,6 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -322,16 +321,4 @@ func scrapePersist(ctx context.Context, c *client.Client) (loaded, skipped int64
 		return 0, 0
 	}
 	return metricValue(text, "cexd_persist_records_loaded_total"), metricValue(text, "cexd_persist_records_skipped_corrupt_total")
-}
-
-func metricValue(text, name string) int64 {
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, name+" ") {
-			v, err := strconv.ParseInt(strings.TrimSpace(strings.TrimPrefix(line, name+" ")), 10, 64)
-			if err == nil {
-				return v
-			}
-		}
-	}
-	return -1
 }

@@ -31,7 +31,6 @@ import (
 	"lrcex/internal/corpus"
 	"lrcex/internal/eval"
 	"lrcex/internal/faults"
-	"lrcex/internal/profiling"
 	"lrcex/internal/repair"
 )
 
@@ -54,12 +53,11 @@ func main() {
 		effectiveness = flag.Bool("effectiveness", false, "Section 7.2 summary")
 		efficiency    = flag.Bool("efficiency", false, "Section 7.3 comparison")
 		scalability   = flag.Bool("scalability", false, "Section 7.4 summary")
-		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile    = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
-	// The search-tuning surface (-timeout, -cumulative, -notimeout, -j,
-	// -extendedsearch, -maxconfigs, -maxarena, -stats) is shared with
-	// cexgen via internal/cliflags so the two tools stay uniform.
+	// The search-tuning and instrumentation surface (-timeout, -cumulative,
+	// -notimeout, -j, -extendedsearch, -maxconfigs, -maxarena, -stats,
+	// -trace-out, -cpuprofile, -memprofile, ...) is shared with cexgen via
+	// internal/cliflags so the two tools stay uniform.
 	search := cliflags.RegisterSearch(flag.CommandLine)
 	flag.Parse()
 	showStats = search.Stats
@@ -70,7 +68,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
+	stopProf, err := search.StartProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cexeval:", err)
 		os.Exit(1)

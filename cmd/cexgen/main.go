@@ -18,12 +18,12 @@ import (
 	"os"
 	"time"
 
-	"lrcex"
 	"lrcex/internal/cliflags"
 	"lrcex/internal/core"
 	"lrcex/internal/corpus"
 	"lrcex/internal/faults"
-	"lrcex/internal/profiling"
+	"lrcex/internal/gdl"
+	"lrcex/internal/lr"
 	"lrcex/internal/repair"
 	"lrcex/internal/trace"
 )
@@ -32,12 +32,11 @@ func main() {
 	var (
 		corpusName = flag.String("corpus", "", "analyze a built-in corpus grammar instead of a file")
 		quiet      = flag.Bool("q", false, "print one summary line per conflict instead of full reports")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
-	// The search-tuning surface (-timeout, -cumulative, -notimeout, -j,
-	// -extendedsearch, -maxconfigs, -maxarena, -stats) is shared with
-	// cexeval via internal/cliflags so the two tools stay uniform.
+	// The search-tuning and instrumentation surface (-timeout, -cumulative,
+	// -notimeout, -j, -extendedsearch, -maxconfigs, -maxarena, -stats,
+	// -trace-out, -cpuprofile, -memprofile, ...) is shared with cexeval via
+	// internal/cliflags so the two tools stay uniform.
 	search := cliflags.RegisterSearch(flag.CommandLine)
 	flag.Parse()
 
@@ -46,7 +45,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
+	stopProf, err := search.StartProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cexgen:", err)
 		os.Exit(1)
@@ -64,22 +63,22 @@ func main() {
 	// below is a single atomic load.
 	ctx, finishTrace := search.StartTrace(context.Background(), name)
 
-	parseStart := time.Now()
-	psp := trace.Child(ctx, "gdl.parse")
-	g, err := lrcex.ParseGrammar(name, src)
+	_, parse := trace.Time(ctx, "gdl.parse")
+	g, err := gdl.Parse(name, src)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cexgen:", err)
 		os.Exit(1)
 	}
-	psp.Set("productions", g.NumProductions())
-	psp.End()
-	parseWall := time.Since(parseStart)
-	buildStart := time.Now()
-	bsp := trace.Child(ctx, "table.build")
-	res := lrcex.AnalyzeWithOptions(g, search.FinderOptions())
-	bsp.Set("states", len(res.Automaton.States))
-	bsp.End()
-	buildWall := time.Since(buildStart)
+	parse.Span().Set("productions", g.NumProductions())
+	parseWall := parse.End()
+	// One compiled search graph serves the searches and, under -repair, the
+	// advisor.
+	_, build := trace.Time(ctx, "table.build")
+	tbl := lr.BuildTable(lr.Build(g))
+	compiled := core.Compile(tbl)
+	finder := core.NewFinderFromCompiled(compiled, search.FinderOptions())
+	build.Span().Set("states", len(tbl.A.States))
+	buildWall := build.End()
 
 	// Counterexamples assume a reduced grammar: warn like yacc/CUP when
 	// nonterminals are unproductive or unreachable.
@@ -95,13 +94,13 @@ func main() {
 	}
 
 	fmt.Printf("%s: %d nonterminals, %d productions, %d states, %d conflicts",
-		name, len(g.Nonterminals()), g.NumProductions(), len(res.Automaton.States), len(res.Conflicts()))
-	if n := len(res.Table.Resolved); n > 0 {
+		name, len(g.Nonterminals()), g.NumProductions(), len(tbl.A.States), len(tbl.Conflicts))
+	if n := len(tbl.Resolved); n > 0 {
 		fmt.Printf(" (%d more resolved by precedence)", n)
 	}
 	fmt.Println()
 
-	if len(res.Conflicts()) == 0 {
+	if len(tbl.Conflicts) == 0 {
 		fmt.Println("No conflicts: the grammar is LALR(1).")
 		if err := finishTrace(); err != nil {
 			fmt.Fprintf(os.Stderr, "cexgen: trace: %v\n", err)
@@ -111,12 +110,10 @@ func main() {
 	// FindAll searches the conflicts on a worker pool (-j) and returns the
 	// results in conflict order, so the report order matches the sequential
 	// tool exactly.
-	searchStart := time.Now()
-	sctx, ssp := trace.Start(ctx, "search")
-	ssp.Set("conflicts", len(res.Conflicts()))
-	exs, err := res.FindAllContext(sctx)
-	ssp.End()
-	searchWall := time.Since(searchStart)
+	sctx, searchPhase := trace.Time(ctx, "search")
+	searchPhase.Span().Set("conflicts", len(tbl.Conflicts))
+	exs, err := finder.FindAllContext(sctx)
+	searchWall := searchPhase.End()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cexgen: %v\n", err)
 		os.Exit(1)
@@ -128,10 +125,10 @@ func main() {
 			continue
 		}
 		fmt.Println()
-		fmt.Print(ex.Report(res.Automaton))
+		fmt.Print(ex.Report(tbl.A))
 	}
 	if search.Stats {
-		fmt.Printf("\nsearch stats: %s\n", res.SearchStats())
+		fmt.Printf("\nsearch stats: %s\n", finder.Stats())
 		fmt.Printf("phase times: parse %v, build %v, search %v\n",
 			parseWall.Round(time.Millisecond), buildWall.Round(time.Millisecond), searchWall.Round(time.Millisecond))
 	}
@@ -142,7 +139,7 @@ func main() {
 		rep, err := repair.Advise(ctx, repair.Input{
 			Name:     name,
 			Grammar:  g,
-			Compiled: core.Compile(res.Table),
+			Compiled: compiled,
 			Examples: exs,
 		}, search.RepairOptions())
 		if err != nil {

@@ -4,14 +4,18 @@
 // and the parity test in this package keeps the CLI surface aligned with the
 // service's AnalyzeOptions — one tuning vocabulary everywhere: flag
 // -timeout ↔ JSON per_conflict_timeout_ms, -notimeout ↔ no_timeout, and so
-// on.
+// on. The run's instrumentation flags (-trace-out, -cpuprofile, -memprofile)
+// live here too, with the code that acts on them.
 package cliflags
 
 import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -64,6 +68,11 @@ type Search struct {
 	// trace-event file for chrome://tracing. Empty = tracing disabled (the
 	// instrumentation then costs one atomic load per site).
 	TraceOut string
+	// CPUProfile writes a CPU profile of the run to this file (-cpuprofile);
+	// MemProfile writes a heap profile at exit (-memprofile). Empty = off.
+	// StartProfiles acts on both.
+	CPUProfile string
+	MemProfile string
 }
 
 // RegisterSearch registers the shared search flags on fs and returns the
@@ -83,7 +92,47 @@ func RegisterSearch(fs *flag.FlagSet) *Search {
 	fs.IntVar(&s.RepairBudget, "repair-budget", 0, "configurations expanded when validating each repair candidate (0 = advisor default)")
 	fs.IntVar(&s.MaxCandidates, "max-candidates", 0, "repair candidates synthesized per conflict (0 = advisor default)")
 	fs.StringVar(&s.TraceOut, "trace-out", "", "write a span trace of the run to this file (.json = span tree, otherwise Chrome trace-event format)")
+	fs.StringVar(&s.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&s.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
 	return s
+}
+
+// StartProfiles begins CPU profiling into -cpuprofile (when set) and returns
+// a stop func that ends the CPU profile and writes a heap profile to
+// -memprofile (when set); with neither flag it is a no-op. The stop func must
+// run before the process exits — defer it in main, and note that os.Exit
+// skips deferred calls, so error paths that exit early produce no profile
+// (the profiles of a failed run would not be meaningful anyway).
+func (s *Search) StartProfiles() (stop func(), err error) {
+	var cpuOut *os.File
+	if s.CPUProfile != "" {
+		if cpuOut, err = os.Create(s.CPUProfile); err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuOut); err != nil {
+			cpuOut.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return func() {
+		if cpuOut != nil {
+			pprof.StopCPUProfile()
+			cpuOut.Close()
+		}
+		if s.MemProfile == "" {
+			return
+		}
+		out, err := os.Create(s.MemProfile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "memprofile:", err)
+			return
+		}
+		defer out.Close()
+		runtime.GC() // settle the live heap so the profile reflects retained memory
+		if err := pprof.WriteHeapProfile(out); err != nil {
+			fmt.Fprintln(os.Stderr, "memprofile:", err)
+		}
+	}, nil
 }
 
 // FinderOptions maps the parsed flags onto core.Options. -notimeout wins

@@ -32,7 +32,7 @@ func TestParityAcrossRegistrations(t *testing.T) {
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("flag surfaces differ:\n%v\n%v", sa, sb)
 	}
-	want := []string{"timeout", "cumulative", "notimeout", "j", "extendedsearch", "maxconfigs", "maxarena", "stats", "faults", "repair", "repair-budget", "max-candidates", "trace-out"}
+	want := []string{"timeout", "cumulative", "notimeout", "j", "extendedsearch", "maxconfigs", "maxarena", "stats", "faults", "repair", "repair-budget", "max-candidates", "trace-out", "cpuprofile", "memprofile"}
 	for _, name := range want {
 		if _, ok := sa[name]; !ok {
 			t.Errorf("flag -%s not registered", name)

@@ -571,8 +571,9 @@ func (f *Finder) conflictIndex(c lr.Conflict) int {
 // call runs one lookaheadSensitivePaths search over all the targets, in a
 // "search.lasp" span, and memoizes the map; a cancelled search is not
 // memoized, so the next call starts over. The search's pops are folded into
-// Finder.Stats and its wall-clock is charged to the time bank once, with the
-// first conflict to finish (chargeBank); no Example carries either. A panic
+// Finder.Stats and its duration — the search.lasp span's own, from one
+// trace.Timer — is charged to the time bank once, with the first conflict to
+// finish (chargeBank); no Example carries either. A panic
 // in the search is returned as an error: no one conflict owns the search, so
 // the per-conflict degradation ladder cannot contain it.
 func (f *Finder) conflictPaths(ctx context.Context) (_ map[laspTarget]*laspPath, err error) {
@@ -586,18 +587,18 @@ func (f *Finder) conflictPaths(ctx context.Context) (_ map[laspTarget]*laspPath,
 			err = fmt.Errorf("core: shortest-path search panicked: %v", r)
 		}
 	}()
-	start := time.Now()
+	_, lasp := trace.Time(ctx, "search.lasp")
 	var targets []laspTarget
 	for _, c := range f.tbl.Conflicts {
 		if n, ok := f.g.lookup(c.State, c.Item1); ok {
 			targets = append(targets, laspTarget{n, c.Sym})
 		}
 	}
-	span := trace.Child(ctx, "search.lasp")
 	paths, expanded, err := lookaheadSensitivePaths(ctx, f.g, targets)
+	span := lasp.Span()
 	if err != nil {
 		span.Set("error", err.Error())
-		span.End()
+		lasp.End()
 		return nil, err
 	}
 	found := len(paths)
@@ -606,14 +607,11 @@ func (f *Finder) conflictPaths(ctx context.Context) (_ map[laspTarget]*laspPath,
 			paths[t] = nil
 		}
 	}
-	elapsed := time.Since(start)
 	span.Set("targets", len(paths))
 	span.Set("found", found)
 	span.SetVolatile("path_expanded", expanded)
-	span.SetVolatile("elapsed_ms", float64(elapsed)/float64(time.Millisecond))
-	span.End()
 	f.addStats(SearchStats{PathExpanded: expanded})
-	f.pathsDebt.Store(int64(elapsed))
+	f.pathsDebt.Store(int64(lasp.End()))
 	f.paths = paths
 	return paths, nil
 }
@@ -644,8 +642,8 @@ func (f *Finder) pathTo(ctx context.Context, sc *scratch, t laspTarget) (*laspPa
 // findTraced wraps find in a "conflict.search" span. The sequence number is
 // the conflict's position in the table — a pure function of the grammar — so
 // the span tree is identical at every Parallelism setting. Conflict
-// coordinates and outcome are deterministic attributes; wall-clock, search
-// counters, and the time-bank draw are volatile.
+// coordinates and outcome are deterministic attributes; search counters and
+// the time-bank draw are volatile. The span's own duration is its wall-clock.
 func (f *Finder) findTraced(ctx context.Context, c lr.Conflict, seq int, sc *scratch) (*Example, error) {
 	ctx, span := trace.StartSeq(ctx, "conflict.search", seq)
 	if span == nil {
@@ -661,7 +659,6 @@ func (f *Finder) findTraced(ctx context.Context, c lr.Conflict, seq int, sc *scr
 		if ex.Merged {
 			span.Set("merged", true)
 		}
-		span.SetVolatile("elapsed_ms", float64(ex.Elapsed)/float64(time.Millisecond))
 		span.SetVolatile("expanded", ex.Stats.Expanded)
 		span.SetVolatile("pushed", ex.Stats.Pushed)
 		span.SetVolatile("dedup_hits", ex.Stats.DedupHits)

@@ -109,37 +109,31 @@ func MeasureContext(ctx context.Context, e *corpus.Entry, opts Options) Row {
 	defer gsp.End()
 
 	row := Row{Name: e.Name, Category: e.Category, ExpectedAmbiguous: e.Ambiguous}
-	parseStart := time.Now()
-	psp := trace.Child(ctx, "gdl.parse")
+	_, parse := trace.Time(ctx, "gdl.parse")
 	g, err := gdl.Parse(e.Name, e.Source)
 	if err != nil {
-		psp.Set("error", err.Error())
-		psp.End()
+		parse.Span().Set("error", err.Error())
+		parse.End()
 		row.Err = fmt.Errorf("parsing %s: %w", e.Name, err)
 		return row
 	}
-	psp.Set("productions", g.NumProductions())
-	psp.End()
-	row.ParseWall = time.Since(parseStart)
-	buildStart := time.Now()
-	bsp := trace.Child(ctx, "table.build")
+	parse.Span().Set("productions", g.NumProductions())
+	row.ParseWall = parse.End()
+	_, build := trace.Time(ctx, "table.build")
 	tbl := lr.BuildTable(lr.Build(g))
 	compiled := core.Compile(tbl)
-	bsp.Set("states", len(tbl.A.States))
-	bsp.End()
-	row.BuildWall = time.Since(buildStart)
+	build.Span().Set("states", len(tbl.A.States))
+	row.BuildWall = build.End()
 	row.Nonterms = len(g.Nonterminals())
 	row.Prods = g.NumProductions()
 	row.States = len(tbl.A.States)
 	row.Conflicts = len(tbl.Conflicts)
 
 	finder := core.NewFinderFromCompiled(compiled, opts.Finder)
-	wallStart := time.Now()
-	sctx, ssp := trace.Start(ctx, "search")
-	ssp.Set("conflicts", len(tbl.Conflicts))
+	sctx, search := trace.Time(ctx, "search")
+	search.Span().Set("conflicts", len(tbl.Conflicts))
 	exs, err := finder.FindAllContext(sctx)
-	ssp.End()
-	row.Wall = time.Since(wallStart)
+	row.Wall = search.End()
 	if err != nil {
 		row.Err = err
 		return row
@@ -166,9 +160,8 @@ func MeasureContext(ctx context.Context, e *corpus.Entry, opts Options) Row {
 	}
 
 	if opts.Baseline {
-		start := time.Now()
 		res := baseline.DetectAmbiguity(g, opts.BaselineOpts)
-		row.BaselineTime = time.Since(start)
+		row.BaselineTime = res.Elapsed
 		row.BaselineDone = res.Ambiguous || res.Exhausted
 		row.BaselineCorrect = res.Ambiguous == e.Ambiguous || !res.Ambiguous && !res.Exhausted
 	}

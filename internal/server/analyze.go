@@ -304,12 +304,10 @@ func analyze(ctx context.Context, g *grammar.Grammar, name, fp string, compiled 
 	}
 
 	if compiled == nil {
-		tableStart := time.Now()
-		tsp := trace.Child(ctx, "table.build")
+		_, build := trace.Time(ctx, "table.build")
 		compiled = core.Compile(lr.BuildTable(lr.Build(g)))
-		tsp.Set("states", len(compiled.Table().A.States))
-		tsp.End()
-		resp.Timings.TableMS = msSince(tableStart)
+		build.Span().Set("states", len(compiled.Table().A.States))
+		resp.Timings.TableMS = millis(build.End())
 		if onCompiled != nil {
 			onCompiled(compiled)
 		}
@@ -338,12 +336,10 @@ func analyze(ctx context.Context, g *grammar.Grammar, name, fp string, compiled 
 	}
 
 	finder := core.NewFinderFromCompiled(compiled, opts.finderOptions(base))
-	searchStart := time.Now()
-	sctx, ssp := trace.Start(ctx, "search")
-	ssp.Set("conflicts", len(tbl.Conflicts))
+	sctx, search := trace.Time(ctx, "search")
+	search.Span().Set("conflicts", len(tbl.Conflicts))
 	exs, err := finder.FindAllContext(sctx)
-	ssp.End()
-	resp.Timings.SearchMS = msSince(searchStart)
+	resp.Timings.SearchMS = millis(search.End())
 	resp.Stats = statsJSON(finder.Stats())
 	deg := finder.Degraded()
 	resp.Degraded = int(deg.Recovered + deg.MemoryAborts)
@@ -364,7 +360,7 @@ func analyze(ctx context.Context, g *grammar.Grammar, name, fp string, compiled 
 			Kind:      ex.Kind.String(),
 			Unifying:  ex.Kind.IsUnifying(),
 			Report:    ex.Report(a),
-			ElapsedMS: float64(ex.Elapsed) / float64(time.Millisecond),
+			ElapsedMS: millis(ex.Elapsed),
 			Expanded:  ex.Expanded,
 			Stats:     statsJSON(ex.Stats),
 		}
@@ -392,8 +388,9 @@ func analyze(ctx context.Context, g *grammar.Grammar, name, fp string, compiled 
 	return resp, exs, nil
 }
 
-func msSince(t time.Time) float64 {
-	return float64(time.Since(t)) / float64(time.Millisecond)
+// millis renders a duration as the float milliseconds of the wire format.
+func millis(d time.Duration) float64 {
+	return float64(d) / float64(time.Millisecond)
 }
 
 // Fingerprint exposes the canonical grammar fingerprint the cache keys on

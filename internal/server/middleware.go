@@ -88,22 +88,25 @@ func (s *Server) withRequestID(h http.Handler) http.Handler {
 			// One completion line per analysis request, same key as the
 			// X-Request-ID header and the /debug/traces entry. Scrape
 			// endpoints (/metrics, /healthz) stay quiet.
-			start := time.Now()
-			defer func() {
-				s.log.Info("request",
-					"request_id", id, "method", r.Method, "path", r.URL.Path,
-					"status", rec.status, "dur_ms", msSince(start))
-			}()
-			if s.cfg.Tracer != nil {
-				var root *trace.Span
-				ctx, root = trace.New(ctx, s.cfg.Tracer, id, "http.request")
+			// The root span (when a tracer is set) and the log line's
+			// dur_ms share the request's one pair of clock readings.
+			var req trace.Timer
+			ctx, req = trace.Root(ctx, s.cfg.Tracer, id, "http.request")
+			// Guarded: boxing the attribute values allocates even when the
+			// span is nil.
+			if root := req.Span(); root != nil {
 				root.Set("method", r.Method)
 				root.Set("path", r.URL.Path)
-				defer func() {
-					root.SetVolatile("status", rec.status)
-					root.End()
-				}()
 			}
+			defer func() {
+				if root := req.Span(); root != nil {
+					root.SetVolatile("status", rec.status)
+				}
+				dur := req.End()
+				s.log.Info("request",
+					"request_id", id, "method", r.Method, "path", r.URL.Path,
+					"status", rec.status, "dur_ms", millis(dur))
+			}()
 		}
 		r = r.WithContext(ctx)
 		defer func() {

@@ -181,18 +181,16 @@ type Server struct {
 // job is one admitted analysis: everything the worker needs, plus the done
 // channel its waiter blocks on.
 type job struct {
-	g        *grammar.Grammar
-	name     string
-	fp       string
-	rid      string // leader's request ID, for log correlation off the request goroutine
-	opts     AnalyzeOptions
-	ctx      context.Context // carries the request deadline (and the flight's trace span)
-	admitted time.Time
-	queueMS  float64
+	g    *grammar.Grammar
+	name string
+	fp   string
+	rid  string // leader's request ID, for log correlation off the request goroutine
+	opts AnalyzeOptions
+	ctx  context.Context // carries the request deadline (and the flight's trace span)
 
-	// queueSpan measures admission → worker pickup; opened by execute, ended
-	// by the worker (nil when tracing is off).
-	queueSpan *trace.Span
+	// queued times admission → worker pickup: opened by execute, ended by
+	// the worker, and the source of both the queue.wait span and QueueMS.
+	queued trace.Timer
 
 	// compiled, when non-nil, is the compile-cache hit for this grammar; the
 	// worker skips the table construction. onCompiled, when set, receives the
@@ -297,17 +295,13 @@ func (s *Server) worker() {
 // pool's capacity).
 func (s *Server) run(j *job) {
 	defer close(j.done)
-	j.queueMS = msSince(j.admitted)
-	if sp := j.queueSpan; sp != nil {
-		sp.SetVolatile("queue_ms", j.queueMS)
-		sp.End()
-	}
+	queueMS := millis(j.queued.End())
 	if gate := s.testGate; gate != nil {
 		gate()
 	}
 	res := s.runGuarded(j)
 	if res.resp != nil {
-		res.resp.Timings.QueueMS = j.queueMS
+		res.resp.Timings.QueueMS = queueMS
 	}
 	j.res = res
 }
@@ -433,7 +427,7 @@ func (s *Server) repairCompile(name, src string) (*grammar.Grammar, *core.Compil
 func (s *Server) addCompiled(ctx context.Context, fp string, ce *compiledGrammar) {
 	s.compile.add(fp, ce)
 	if s.per != nil {
-		sp := trace.Child(ctx, "persist.append")
+		_, sp := trace.Start(ctx, "persist.append")
 		sp.Set("record", "compile")
 		s.per.noteCompile(fp, ce)
 		sp.End()
@@ -446,7 +440,7 @@ func (s *Server) addCompiled(ctx context.Context, fp string, ce *compiledGrammar
 func (s *Server) addResult(ctx context.Context, key string, val any) {
 	s.cache.add(key, val)
 	if s.per != nil {
-		sp := trace.Child(ctx, "persist.append")
+		_, sp := trace.Start(ctx, "persist.append")
 		sp.Set("record", "result")
 		s.per.noteResult(key, val)
 		sp.End()
@@ -691,10 +685,12 @@ func (s *Server) execute(reqCtx context.Context, key string, g *grammar.Grammar,
 		defer cancel()
 		ctx, flight := trace.Start(ctx, "singleflight.lead")
 		defer flight.End()
+		// The queue.wait span's context is dropped: the analysis spans are
+		// its siblings under the flight, not its children.
+		_, queued := trace.Time(ctx, "queue.wait")
 		j := &job{
 			g: g, name: name, fp: fp, rid: rid, opts: opts, compiled: compiled, repair: rep,
-			ctx: ctx, admitted: time.Now(), done: make(chan struct{}),
-			queueSpan: trace.Child(ctx, "queue.wait"),
+			ctx: ctx, queued: queued, done: make(chan struct{}),
 		}
 		if compiled == nil {
 			// Insert into the compile cache as soon as the worker finishes
@@ -705,7 +701,7 @@ func (s *Server) execute(reqCtx context.Context, key string, g *grammar.Grammar,
 			}
 		}
 		if err := s.submit(j); err != nil {
-			j.queueSpan.End()
+			j.queued.End()
 			return nil, err
 		}
 		// Watchdog: the worker should answer within the deadline (context
@@ -839,7 +835,7 @@ func (s *Server) serveV1(w http.ResponseWriter, r *http.Request, repair bool) {
 	if repair {
 		span = "cache.repair"
 	}
-	lookup := trace.Child(ctx, span)
+	_, lookup := trace.Start(ctx, span)
 	// Injected cache-node loss: the hit is discarded and the analysis
 	// re-runs, exercising the miss path's correctness under chaos.
 	if cached, ok := s.cache.get(key); ok && !faults.Should(faults.ServerCache) {
@@ -860,7 +856,7 @@ func (s *Server) serveV1(w http.ResponseWriter, r *http.Request, repair bool) {
 	var g *grammar.Grammar
 	var compiled *core.Compiled
 	var parseMS float64
-	clookup := trace.Child(ctx, "cache.compile")
+	_, clookup := trace.Start(ctx, "cache.compile")
 	if ce, ok := s.compile.get(fp); ok {
 		clookup.Set("hit", true)
 		clookup.End()
@@ -868,18 +864,16 @@ func (s *Server) serveV1(w http.ResponseWriter, r *http.Request, repair bool) {
 	} else {
 		clookup.Set("hit", false)
 		clookup.End()
-		parseStart := time.Now()
-		psp := trace.Child(ctx, "gdl.parse")
+		_, parse := trace.Time(ctx, "gdl.parse")
 		g, err = gdl.ParseLimited(name, req.Grammar, s.cfg.Limits)
 		if err != nil {
-			psp.Set("error", err.Error())
-			psp.End()
+			parse.Span().Set("error", err.Error())
+			parse.End()
 			s.failParse(w, start, err)
 			return
 		}
-		psp.Set("productions", g.NumProductions())
-		psp.End()
-		parseMS = msSince(parseStart)
+		parse.Span().Set("productions", g.NumProductions())
+		parseMS = millis(parse.End())
 	}
 
 	deadline := s.cfg.DefaultDeadline
@@ -991,8 +985,9 @@ func (s *Server) respond(w http.ResponseWriter, start time.Time, status int, rep
 		out.Cached = true
 		out.Timings = Timings{}
 	}
-	out.Timings.TotalMS = msSince(start)
-	s.m.observe(outcome, time.Since(start))
+	total := time.Since(start)
+	out.Timings.TotalMS = millis(total)
+	s.m.observe(outcome, total)
 	writeJSON(w, status, body)
 }
 

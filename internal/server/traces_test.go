@@ -3,9 +3,11 @@ package server
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"lrcex/internal/trace"
 )
@@ -129,6 +131,57 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), "conflict.search") {
 		t.Error("chrome export missing conflict.search events")
+	}
+}
+
+// TestTimingsAreSpanDurations pins one clock per phase: each phase figure a
+// traced analysis reports in Timings is its span's duration, from the same
+// two clock readings, not a stopwatch started a few instructions apart.
+func TestTimingsAreSpanDurations(t *testing.T) {
+	tracer := trace.NewTracer(8)
+	_, ts := newTestServer(t, Config{Tracer: tracer})
+
+	var resp AnalyzeResponse
+	res := postAnalyze(t, ts, &AnalyzeRequest{Name: "figure1", Grammar: figure1Source(t)}, &resp)
+	if res.StatusCode != http.StatusOK || resp.Cached || resp.CompileCached {
+		t.Fatalf("status %d cached=%t compile_cached=%t, want a fresh 200", res.StatusCode, resp.Cached, resp.CompileCached)
+	}
+	// The root span ends after the response is written; wait for the trace
+	// to land in the ring.
+	rid := res.Header.Get("X-Request-ID")
+	var got *trace.Trace
+	for deadline := time.Now().Add(5 * time.Second); got == nil && time.Now().Before(deadline); {
+		for _, tr := range tracer.Traces() {
+			if tr.ID() == rid {
+				got = tr
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got == nil {
+		t.Fatalf("no trace %s in the ring", rid)
+	}
+	durs := map[string]float64{}
+	for _, sp := range got.Spans() {
+		durs[sp.Name()] = millis(sp.Duration())
+	}
+	for _, c := range []struct {
+		span string
+		ms   float64
+	}{
+		{"queue.wait", resp.Timings.QueueMS},
+		{"gdl.parse", resp.Timings.ParseMS},
+		{"table.build", resp.Timings.TableMS},
+		{"search", resp.Timings.SearchMS},
+	} {
+		d, ok := durs[c.span]
+		if !ok {
+			t.Errorf("no %s span", c.span)
+			continue
+		}
+		if math.Abs(d-c.ms) > 1e-9 || d <= 0 {
+			t.Errorf("%s: timings say %v ms, span says %v ms; want one nonzero reading", c.span, c.ms, d)
+		}
 	}
 }
 

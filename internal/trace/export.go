@@ -134,7 +134,7 @@ func (t *Trace) JSON() TraceJSON {
 			childCount[s.parent]++
 		}
 	}
-	tj := TraceJSON{TraceID: t.id, StartNS: t.start.UnixNano()}
+	tj := TraceJSON{TraceID: t.id, StartNS: t.root.start.UnixNano()}
 	for _, s := range spans {
 		sj := SpanJSON{
 			ID:       fmt.Sprintf("%016x", s.id),
@@ -187,8 +187,8 @@ func Chrome(traces []*Trace) []byte {
 	var file chromeFile
 	var epoch time.Time
 	for _, t := range traces {
-		if epoch.IsZero() || t.start.Before(epoch) {
-			epoch = t.start
+		if epoch.IsZero() || t.root.start.Before(epoch) {
+			epoch = t.root.start
 		}
 	}
 	for ti, t := range traces {

@@ -9,8 +9,8 @@
 //
 //  1. Disabled tracing costs one atomic load on the hot path. When no trace
 //     is live anywhere in the process (the default — nothing is traced until
-//     someone calls New), Start/StartSeq/Child return immediately after a
-//     single atomic counter load, allocate nothing, and leave the context
+//     someone calls New), Start/StartSeq return immediately after a single
+//     atomic counter load, allocate nothing, and leave the context
 //     untouched. This is the same discipline internal/faults uses for its
 //     injection points, and it is what lets spans live inside the search
 //     loops instead of behind build tags.
@@ -26,6 +26,11 @@
 //     timestamps and attributes marked volatile, so the canonical tree is
 //     byte-identical across -j worker counts and across replayed
 //     fault schedules.
+//
+//  3. One clock per phase. A phase whose duration is also reported outside
+//     the trace (response timings, metrics, -stats) opens with Time or Root:
+//     the returned Timer's End computes that figure from the same two clock
+//     readings it stamps on the span, traced or not.
 //
 // Finished traces land in a bounded ring buffer (Tracer), which cexd serves
 // at /debug/traces and the CLIs dump to a file via -trace-out. Export forms:
@@ -56,11 +61,10 @@ func Active() bool { return liveTraces.Load() > 0 }
 // concurrent use; the zero value (or a nil *Tracer) discards every trace and
 // never enables tracing.
 type Tracer struct {
-	mu       sync.Mutex
-	buf      []*Trace
-	next     int
-	total    int64
-	onFinish func(*Trace)
+	mu    sync.Mutex
+	buf   []*Trace
+	next  int
+	total int64
 }
 
 // NewTracer returns a tracer retaining the last capacity finished traces.
@@ -72,21 +76,10 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{buf: make([]*Trace, 0, capacity)}
 }
 
-// OnFinish registers a callback invoked (synchronously, after ring
-// insertion) whenever a trace finishes. The CLIs use it to stream traces to
-// a -trace-out file.
-func (tr *Tracer) OnFinish(fn func(*Trace)) {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	tr.onFinish = fn
-	tr.mu.Unlock()
-}
-
 // add inserts a finished trace into the ring.
 func (tr *Tracer) add(t *Trace) {
 	tr.mu.Lock()
+	defer tr.mu.Unlock()
 	if len(tr.buf) < cap(tr.buf) {
 		tr.buf = append(tr.buf, t)
 	} else {
@@ -94,11 +87,6 @@ func (tr *Tracer) add(t *Trace) {
 		tr.next = (tr.next + 1) % cap(tr.buf)
 	}
 	tr.total++
-	fn := tr.onFinish
-	tr.mu.Unlock()
-	if fn != nil {
-		fn(t)
-	}
 }
 
 // Traces returns the retained traces, oldest first.
@@ -147,7 +135,7 @@ func (tr *Tracer) Total() int64 {
 type Trace struct {
 	tracer *Tracer
 	id     string
-	start  time.Time
+	root   *Span // its start reading is the trace's start
 
 	finished atomic.Bool
 
@@ -158,9 +146,6 @@ type Trace struct {
 // ID returns the trace identifier (the request ID on cexd, the run label in
 // the CLIs).
 func (t *Trace) ID() string { return t.id }
-
-// Start returns when the trace's root span started.
-func (t *Trace) Start() time.Time { return t.start }
 
 // Spans returns the trace's spans in start order (which is nondeterministic
 // under concurrency — use Canonical or the export forms for stable order).
@@ -232,14 +217,6 @@ func (s *Span) Name() string {
 	return s.name
 }
 
-// Seq returns the span's sibling sequence number.
-func (s *Span) Seq() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.seq
-}
-
 // ID returns the span's deterministic identifier (0 on nil).
 func (s *Span) ID() uint64 {
 	if s == nil {
@@ -254,14 +231,6 @@ func (s *Span) ParentID() uint64 {
 		return 0
 	}
 	return s.parent.id
-}
-
-// StartTime returns when the span started.
-func (s *Span) StartTime() time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	return s.start
 }
 
 // Duration returns the span's duration (0 until End).
@@ -330,12 +299,18 @@ func (s *Span) SetVolatile(key string, val any) {
 // End finishes the span. Ending the root span finishes the whole trace and
 // delivers it to the tracer's ring. Nil-safe and idempotent.
 func (s *Span) End() {
-	if s == nil {
-		return
+	if s != nil {
+		s.endAt(time.Now())
 	}
+}
+
+// endAt stamps end as the span's end reading, unless the span already has
+// one (an earlier End, or the seal of a finished trace), and finishes the
+// trace when s is its root.
+func (s *Span) endAt(end time.Time) {
 	s.mu.Lock()
 	if s.end.IsZero() {
-		s.end = time.Now()
+		s.end = end
 	}
 	s.mu.Unlock()
 	if s.parent == nil {
@@ -381,9 +356,10 @@ func New(ctx context.Context, tracer *Tracer, id, rootName string) (context.Cont
 	if tracer == nil {
 		return ctx, nil
 	}
-	t := &Trace{tracer: tracer, id: id, start: time.Now()}
+	t := &Trace{tracer: tracer, id: id}
 	liveTraces.Add(1)
 	root := t.newSpan(nil, rootName, 0)
+	t.root = root
 	return context.WithValue(ctx, ctxKey{}, root), root
 }
 
@@ -426,21 +402,6 @@ func StartSeq(ctx context.Context, name string, seq int) (context.Context, *Span
 	return context.WithValue(ctx, ctxKey{}, s), s
 }
 
-// Child begins a child span without rebinding the context: later Start calls
-// on the same ctx stay siblings, not grandchildren. Used for spans whose End
-// happens on another goroutine (queue wait ends on the worker) or that
-// bracket a single call (persist appends).
-func Child(ctx context.Context, name string) *Span {
-	if liveTraces.Load() == 0 {
-		return nil
-	}
-	parent, _ := ctx.Value(ctxKey{}).(*Span)
-	if parent == nil {
-		return nil
-	}
-	return parent.trace.newSpan(parent, name, parent.childSeq.Add(1))
-}
-
 // FromContext returns the span ctx carries (nil when tracing is disabled or
 // ctx is untraced).
 func FromContext(ctx context.Context) *Span {
@@ -473,6 +434,48 @@ func Detach(ctx context.Context) context.Context {
 		return context.Background()
 	}
 	return context.WithValue(context.Background(), ctxKey{}, s)
+}
+
+// Timer is one timed phase: its span (nil when untraced) and the start
+// reading, which is the span's own.
+type Timer struct {
+	span  *Span
+	start time.Time
+}
+
+// Time opens a timed phase as Start does; callers whose later spans must
+// stay siblings of this one discard the returned context.
+func Time(ctx context.Context, name string) (context.Context, Timer) {
+	ctx, s := Start(ctx, name)
+	return ctx, timerFor(s)
+}
+
+// Root opens a timed root as New does, and times it even with a nil tracer.
+func Root(ctx context.Context, tracer *Tracer, id, name string) (context.Context, Timer) {
+	ctx, s := New(ctx, tracer, id, name)
+	return ctx, timerFor(s)
+}
+
+func timerFor(s *Span) Timer {
+	if s == nil {
+		return Timer{start: time.Now()}
+	}
+	return Timer{span: s, start: s.start}
+}
+
+// Span returns the phase's span (nil when untraced; Span methods are
+// nil-safe).
+func (t Timer) Span() *Span { return t.span }
+
+// End reads the clock once, stamps the reading as the span's end, and
+// returns the phase's duration. A span already ended (sealed when its trace
+// finished under a watchdog-abandoned phase) keeps its earlier stamp.
+func (t Timer) End() time.Duration {
+	end := time.Now()
+	if t.span != nil {
+		t.span.endAt(end)
+	}
+	return end.Sub(t.start)
 }
 
 // fnv64 is FNV-1a over a string.

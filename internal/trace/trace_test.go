@@ -33,9 +33,16 @@ func TestDisabledFastPathZeroAllocs(t *testing.T) {
 			sp.End()
 			_ = ctx2
 		},
-		"Child": func() {
-			sp := Child(ctx, "queue.wait")
-			sp.End()
+		"Time": func() {
+			ctx2, tm := Time(ctx, "table.build")
+			tm.Span().Set("states", 1)
+			_ = tm.End()
+			_ = ctx2
+		},
+		"Root": func() {
+			ctx2, tm := Root(ctx, nil, "rid", "http.request")
+			_ = tm.End()
+			_ = ctx2
 		},
 		"FromContext": func() { _ = FromContext(ctx) },
 		"ID":          func() { _ = ID(ctx) },
@@ -186,18 +193,6 @@ func TestRingBufferBounded(t *testing.T) {
 	}
 }
 
-// TestOnFinishCallback: -trace-out streams through this hook.
-func TestOnFinishCallback(t *testing.T) {
-	tracer := NewTracer(1)
-	var got []string
-	tracer.OnFinish(func(tr *Trace) { got = append(got, tr.ID()) })
-	_, root := New(context.Background(), tracer, "cb", "run")
-	root.End()
-	if len(got) != 1 || got[0] != "cb" {
-		t.Fatalf("OnFinish saw %v, want [cb]", got)
-	}
-}
-
 // TestJSONExport: wire form carries the tree (IDs, parents, attrs) in
 // canonical order.
 func TestJSONExport(t *testing.T) {
@@ -292,6 +287,30 @@ func TestDurations(t *testing.T) {
 	}
 }
 
+// TestTimerEndIsSpanDuration pins the one-clock contract: the duration a
+// Timer's End returns is exactly the span's stamped Duration, for a child
+// phase and for a timed root; untraced, End still measures.
+func TestTimerEndIsSpanDuration(t *testing.T) {
+	ctx, root := Root(context.Background(), NewTracer(1), "one-clock", "run")
+	_, phase := Time(ctx, "gdl.parse")
+	time.Sleep(time.Millisecond)
+	if got, want := phase.End(), phase.Span().Duration(); got != want || got <= 0 {
+		t.Errorf("phase End() = %v, span duration %v; want equal and positive", got, want)
+	}
+	if got, want := root.End(), root.Span().Duration(); got != want || got <= 0 {
+		t.Errorf("root End() = %v, span duration %v; want equal and positive", got, want)
+	}
+
+	_, untraced := Time(context.Background(), "gdl.parse")
+	time.Sleep(time.Millisecond)
+	if untraced.Span() != nil {
+		t.Fatal("untraced Time opened a span")
+	}
+	if d := untraced.End(); d < time.Millisecond {
+		t.Errorf("untraced End() = %v, want >= 1ms", d)
+	}
+}
+
 // TestFinishSealsTrace pins the watchdog-abandonment contract: once the root
 // span ends (finishing the trace into the ring), a worker goroutine still
 // holding the trace's contexts and spans cannot mutate the tree readers see —
@@ -326,9 +345,6 @@ func TestFinishSealsTrace(t *testing.T) {
 	}
 	if _, s := StartSeq(childCtx, "late", 7); s != nil {
 		t.Error("StartSeq on a finished trace returned a live span")
-	}
-	if s := Child(childCtx, "late"); s != nil {
-		t.Error("Child on a finished trace returned a live span")
 	}
 	child.Set("k", "v")
 	child.SetVolatile("vk", 1)
