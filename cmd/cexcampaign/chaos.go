@@ -316,25 +316,31 @@ func (t *chaosTally) classify(name string, err error) {
 // validator re-checks unifying examples against the GLR oracle. Its
 // per-grammar parse memo is filled before any fault is armed: every GDL
 // parse passes the gdl.parse injection point, and an injected failure there
-// would be charged to the counterexample under test.
+// would be charged to the counterexample under test. Each grammar's oracle
+// builds a restarted table once, however many examples share its start.
 type validator struct {
 	grammars map[string]*grammar.Grammar // read-only once built
+	oracles  map[string]*engine.Oracle
 }
 
 func newValidator(entries []*corpus.Entry) (*validator, error) {
-	v := &validator{grammars: make(map[string]*grammar.Grammar, len(entries))}
+	v := &validator{
+		grammars: make(map[string]*grammar.Grammar, len(entries)),
+		oracles:  make(map[string]*engine.Oracle, len(entries)),
+	}
 	for _, e := range entries {
 		g, err := gdl.Parse(e.Name, e.Source)
 		if err != nil {
 			return nil, err
 		}
 		v.grammars[e.Name] = g
+		v.oracles[e.Name] = engine.NewOracle(g, nil)
 	}
 	return v, nil
 }
 
 // validate checks one wire-form unifying example against the shared GLR
-// oracle (engine.ValidateAmbiguous); ok means >= 2 parse trees. skip marks
+// oracle (engine.Oracle); ok means >= 2 parse trees. skip marks
 // the oracle's fork limit, a property of the oracle's budget, not of the
 // counterexample; any other oracle error is a verdict against it.
 func (v *validator) validate(e *corpus.Entry, ex *server.ExampleJSON) (ok, skip bool, err error) {
@@ -354,7 +360,7 @@ func (v *validator) validate(e *corpus.Entry, ex *server.ExampleJSON) (ok, skip 
 		}
 		syms = append(syms, s)
 	}
-	n, err := engine.ValidateAmbiguous(g, nt, syms)
+	n, err := v.oracles[e.Name].CountParses(nt, syms)
 	switch {
 	case errors.Is(err, engine.ErrForkLimit):
 		return false, true, err

@@ -180,11 +180,7 @@ func runOne(ctx context.Context, name string, opts eval.Options) {
 	if showStats {
 		fmt.Printf("\nsearch stats: %s\n", row.Stats)
 	}
-	g, tbl, err := eval.Build(e)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cexeval:", err)
-		os.Exit(1)
-	}
+	tbl := row.Compiled.Table()
 	for _, ex := range row.Examples {
 		fmt.Println()
 		fmt.Print(ex.Report(tbl.A))
@@ -195,8 +191,8 @@ func runOne(ctx context.Context, name string, opts eval.Options) {
 	if searchFlags.Repair {
 		rep, err := repair.Advise(context.Background(), repair.Input{
 			Name:     e.Name,
-			Grammar:  g,
-			Compiled: core.Compile(tbl),
+			Grammar:  tbl.A.G,
+			Compiled: row.Compiled,
 			Examples: row.Examples,
 		}, searchFlags.RepairOptions())
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lrcex/internal/core"
+	"lrcex/internal/engine"
 	"lrcex/internal/grammar"
 	"lrcex/internal/lr"
 )
@@ -67,6 +68,7 @@ func FuzzFindAll(f *testing.F) {
 				g, ra, rb)
 		}
 
+		oracle := engine.NewOracle(g, tbl)
 		for _, ex := range seq {
 			if ex.Kind != core.Unifying {
 				if len(ex.Prefix)+len(ex.After1) == 0 && ex.Conflict.Sym != grammar.EOF {
@@ -75,7 +77,7 @@ func FuzzFindAll(f *testing.F) {
 				continue
 			}
 			checkUnifying(t, g, ex)
-			ambiguous, applicable := oracleConfirms(t, g, ex)
+			ambiguous, applicable := oracleConfirms(t, oracle, ex)
 			if applicable && !ambiguous {
 				t.Errorf("oracle refuted unifying example %q on\n%s", g.SymString(ex.Syms), g)
 			}

@@ -18,10 +18,10 @@ import (
 // at least two distinct parse trees. This closes the loop between the
 // conflict-time search (which never parses anything) and an actual parser.
 //
-// Grammars whose injected defects make the language infinitely ambiguous on
-// every sentence (e.g. nullable-cycle injections) can exceed the GLR fork
-// limit; those are reported but not failed, since the limit is a property of
-// the oracle, not of the counterexample.
+// A grammar whose injected defects made the language infinitely ambiguous
+// could exceed the GLR fork limit; that would be reported but not failed,
+// since the limit is a property of the oracle, not of the counterexample.
+// No corpus grammar does today, Java.2's nullable-name injection included.
 func TestUnifyingExamplesAgainstGLROracle(t *testing.T) {
 	budget := 200 * time.Millisecond
 	if testing.Short() {
@@ -29,9 +29,6 @@ func TestUnifyingExamplesAgainstGLROracle(t *testing.T) {
 	}
 	checked := 0
 	for _, e := range corpus.All() {
-		if e.Name == "Java.2" {
-			continue // nullable-name injection: every sentence is infinitely ambiguous
-		}
 		g, err := gdl.Parse(e.Name, e.Source)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
@@ -45,15 +42,16 @@ func TestUnifyingExamplesAgainstGLROracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
+		oracle := engine.NewOracle(g, tbl)
 		for _, ex := range exs {
 			if ex.Kind != core.Unifying {
 				continue
 			}
 			// A unifying counterexample is a derivation of the ambiguous
 			// nonterminal, so the oracle parses with that nonterminal as the
-			// start symbol (engine.ValidateAmbiguous restarts the grammar
-			// there, concretizes, and counts GLR parse trees).
-			n, err := engine.ValidateAmbiguous(g, ex.Nonterminal, ex.Syms)
+			// start symbol (the oracle restarts the grammar there,
+			// concretizes, and counts GLR parse trees).
+			n, err := oracle.CountParses(ex.Nonterminal, ex.Syms)
 			if err != nil {
 				if errors.Is(err, engine.ErrForkLimit) {
 					t.Logf("%s: oracle limit on %q: %v (skipped)", e.Name, g.SymString(ex.Syms), err)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -49,7 +50,7 @@ func randomGrammar(r *rand.Rand) *grammar.Grammar {
 // TestRandomGrammarInvariants fuzzes the whole pipeline on 400 random
 // grammars: construction never panics, every conflict receives a
 // counterexample, unifying examples satisfy the ambiguity-witness
-// invariants, and the GLR oracle confirms a sample of them.
+// invariants, and the GLR oracle confirms every one it can judge.
 func TestRandomGrammarInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(20260705))
 	iters := 400
@@ -71,6 +72,7 @@ func TestRandomGrammarInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: FindAll on\n%s: %v", i, g, err)
 		}
+		oracle := engine.NewOracle(g, tbl)
 		if len(exs) != len(tbl.Conflicts) {
 			t.Fatalf("iter %d: %d examples for %d conflicts", i, len(exs), len(tbl.Conflicts))
 		}
@@ -82,21 +84,18 @@ func TestRandomGrammarInvariants(t *testing.T) {
 				continue
 			}
 			checkUnifying(t, g, ex)
-			// Oracle-check a sample (WithStart + GLR can be slow).
-			if oracleChecked < 40 {
-				ambiguous, applicable := oracleConfirms(t, g, ex)
-				if !applicable {
-					continue
-				}
-				if !ambiguous {
-					t.Errorf("iter %d: oracle refuted unifying example %q on\n%s",
-						i, g.SymString(ex.Syms), g)
-				}
-				oracleChecked++
+			ambiguous, applicable := oracleConfirms(t, oracle, ex)
+			if !applicable {
+				continue
 			}
+			if !ambiguous {
+				t.Errorf("iter %d: oracle refuted unifying example %q on\n%s",
+					i, g.SymString(ex.Syms), g)
+			}
+			oracleChecked++
 		}
 	}
-	t.Logf("oracle spot-checked %d random unifying examples", oracleChecked)
+	t.Logf("oracle checked %d random unifying examples", oracleChecked)
 }
 
 // TestRandomGrammarSharedPaths checks the per-grammar shortest
@@ -134,34 +133,14 @@ func TestRandomGrammarSharedPaths(t *testing.T) {
 // form contains an unproductive nonterminal (random grammars are not
 // reduced; the paper assumes reduced grammars, as yacc/CUP warn about
 // unproductive symbols separately) or the GLR fork limit was hit.
-func oracleConfirms(t *testing.T, g *grammar.Grammar, ex *core.Example) (ambiguous, applicable bool) {
+func oracleConfirms(t *testing.T, oracle *engine.Oracle, ex *core.Example) (ambiguous, applicable bool) {
 	t.Helper()
-	sub, err := g.WithStart(ex.Nonterminal)
-	if err != nil {
-		t.Fatalf("WithStart(%s): %v", g.Name(ex.Nonterminal), err)
-	}
-	syms := remapSyms(t, g, sub, ex.Syms)
-	concrete, ok := engine.Concretize(sub, syms)
-	if !ok {
+	n, err := oracle.CountParses(ex.Nonterminal, ex.Syms)
+	switch {
+	case errors.Is(err, engine.ErrNotConcrete), errors.Is(err, engine.ErrForkLimit):
 		return false, false
-	}
-	glr := engine.NewGLR(lr.BuildTable(lr.Build(sub)))
-	n, err := glr.CountParses(concrete)
-	if err != nil {
-		return false, false // fork limit: oracle inconclusive
+	case err != nil:
+		t.Fatalf("oracle: %v", err)
 	}
 	return n >= 2, true
-}
-
-func remapSyms(t *testing.T, from, to *grammar.Grammar, syms []grammar.Sym) []grammar.Sym {
-	t.Helper()
-	out := make([]grammar.Sym, len(syms))
-	for i, s := range syms {
-		m, ok := to.Lookup(from.Name(s))
-		if !ok {
-			t.Fatalf("symbol %s lost in remap", from.Name(s))
-		}
-		out[i] = m
-	}
-	return out
 }

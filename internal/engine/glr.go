@@ -2,228 +2,254 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"lrcex/internal/grammar"
 	"lrcex/internal/lr"
 )
 
-// GLR is a generalized LR driver: unlike Parser it follows *every* action in
-// conflicted table entries, forking the parse like Tomita's algorithm (the
-// paper's Section 8 relates counterexamples to GLR). The repository uses it
-// as an independent oracle: a unifying counterexample, once concretized to
-// terminals, must yield at least two distinct parse trees here.
+// The driver's budgets. maxStacks caps the simultaneous stacks of one parse;
+// exceeding it yields ErrForkLimit, a budget verdict rather than a parse
+// verdict. maxTrees caps the distinct trees CountParses counts.
+const (
+	maxStacks = 4096
+	maxTrees  = 16
+)
+
+// GLR is a generalized LR driver: unlike Parser it follows every action of a
+// nondeterministic table entry, forking the parse like Tomita's algorithm (the
+// paper's Section 8 relates counterexamples to GLR). Its one parameter is the
+// action source:
+//
+//   - NewGLR reads the automaton's full action set, the losing side of every
+//     conflict included, and tells parse trees apart. It measures the
+//     grammar's language, which precedence declarations never change: the
+//     independent ambiguity oracle (see Oracle).
+//   - NewReplay reads the resolved Table.Actions and forks only at the
+//     entries of an unresolved conflict ("either action may be taken", never
+//     yacc's shift-wins default). It stops at the first accepting stack. It
+//     measures the language the generated parser accepts, which a %nonassoc
+//     declaration (or any resolution) can shrink: repair validation replays
+//     its probe sentences here.
 //
 // The implementation is a breadth-first simulation over parser stacks rather
-// than a graph-structured stack: worst-case exponential, but the inputs we
-// feed it (counterexamples) are short. MaxStacks bounds the fork count.
+// than a graph-structured stack: worst-case exponential, but the inputs fed
+// to it (counterexamples) are short. Stacks and trees are hash-consed to
+// exact int ids, so each dedup is one lookup.
 type GLR struct {
 	tbl *lr.Table
-	// MaxStacks caps simultaneous stacks (default 4096).
-	MaxStacks int
-	// MaxTrees caps the number of parse trees returned (default 16).
-	MaxTrees int
+	// forks, non-nil for a replay driver, marks the (state, terminal)
+	// entries of the unresolved conflicts.
+	forks map[[2]int]bool
 }
 
-// NewGLR returns a GLR driver for the table.
-func NewGLR(tbl *lr.Table) *GLR { return &GLR{tbl: tbl, MaxStacks: 4096, MaxTrees: 16} }
+// NewGLR returns the tree-counting driver over the full action set.
+func NewGLR(tbl *lr.Table) *GLR { return &GLR{tbl: tbl} }
 
-// glrFrame is one stack entry.
-type glrFrame struct {
+// NewReplay returns the recognizer over the resolved action table.
+func NewReplay(tbl *lr.Table) *GLR {
+	g := &GLR{tbl: tbl, forks: map[[2]int]bool{}}
+	for _, c := range tbl.Conflicts {
+		for _, sym := range c.Syms {
+			g.forks[[2]int{c.State, int(sym)}] = true
+		}
+	}
+	return g
+}
+
+func (g *GLR) replay() bool { return g.forks != nil }
+
+// stack is one parser stack, hash-consed within a parse by (state, tree id,
+// parent id): equal stacks are one value with one id, so forks share
+// structure and dedup compares ids. A replay builds no trees, so its key is
+// the state sequence.
+type stack struct {
+	id    int32
 	state int
-	node  *Node
+	tree  int32 // 0 at the bottom and in a replay
+	prev  *stack
+	set   int // the last position whose stack set holds this stack
 }
 
-// glrStack is an immutable stack (persistent list) so forks share structure.
-type glrStack struct {
-	frame glrFrame
-	prev  *glrStack
-	depth int
+// parse is the state of one run.
+type parse struct {
+	*GLR
+	stacks map[[3]int32]*stack
+	// ids hash-conses trees and child lists: a tree is (production, symbol,
+	// children), a leaf has production -1 and no children, and a list cell
+	// is (-2, head tree, tail list). Ids start at 1; 0 is the empty list.
+	ids      map[[3]int32]int32
+	acts     []lr.Action
+	accepted bool
+	trees    []int32
 }
 
-func (s *glrStack) push(f glrFrame) *glrStack {
-	return &glrStack{frame: f, prev: s, depth: s.depth + 1}
+func (p *parse) intern(k [3]int32) int32 {
+	id, ok := p.ids[k]
+	if !ok {
+		id = int32(len(p.ids) + 1)
+		p.ids[k] = id
+	}
+	return id
 }
 
-// ParseAll returns every distinct parse tree of the token stream, up to
-// MaxTrees. An empty slice means a syntax error on all branches.
-func (g *GLR) ParseAll(tokens []Token) ([]*Node, error) {
-	tokens = append(append([]Token(nil), tokens...), Token{Sym: grammar.EOF, Text: "$", Pos: -1})
+// Accepts reports whether some branch of the parse accepts the terminal
+// string.
+func (g *GLR) Accepts(words []grammar.Sym) (bool, error) {
+	p, err := g.run(words)
+	return p.accepted, err
+}
 
-	root := &glrStack{frame: glrFrame{state: 0}}
-	stacks := []*glrStack{root}
-	var trees []*Node
+// CountParses returns the number of distinct parse trees of the terminal
+// string, up to maxTrees; 0 is a syntax error on every branch. A replay
+// driver tells no trees apart.
+func (g *GLR) CountParses(words []grammar.Sym) (int, error) {
+	p, err := g.run(words)
+	if err != nil {
+		return 0, err
+	}
+	return len(p.trees), nil
+}
 
-	for pos := 0; pos < len(tokens); pos++ {
-		la := tokens[pos]
-		// Close each stack under reductions for this lookahead, collecting
-		// the shift successors.
-		var next []*glrStack
-		work := append([]*glrStack(nil), stacks...)
-		seen := map[string]bool{}
+func (g *GLR) run(words []grammar.Sym) (*parse, error) {
+	p := &parse{GLR: g, stacks: map[[3]int32]*stack{}, ids: map[[3]int32]int32{}}
+	words = append(words[:len(words):len(words)], grammar.EOF)
+	stacks := []*stack{{}}
+	for pos, la := range words {
+		// Close the stack set under reductions for this lookahead,
+		// collecting the shift successors.
+		var next []*stack
+		work := append([]*stack(nil), stacks...)
 		for len(work) > 0 {
-			if len(work)+len(next) > g.MaxStacks {
-				return trees, fmt.Errorf("%w (%d stacks)", ErrForkLimit, g.MaxStacks)
+			if len(work)+len(next) > maxStacks {
+				return p, fmt.Errorf("%w (%d stacks)", ErrForkLimit, maxStacks)
 			}
 			st := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, act := range g.actionsFor(st.frame.state, la.Sym) {
+			for _, act := range p.actions(st.state, la) {
 				switch act.Kind {
 				case lr.ActionShift:
-					next = append(next, st.push(glrFrame{act.Target, &Node{Sym: la.Sym, Prod: -1, Tok: la}}))
-				case lr.ActionReduce:
-					ns, ok := g.reduce(st, act.Target)
-					if !ok {
-						continue
+					var leaf int32
+					if !p.replay() {
+						leaf = p.intern([3]int32{-1, int32(la), 0})
 					}
-					k := stackKey(ns)
-					if !seen[k] {
-						seen[k] = true
+					if ns := p.push(st, act.Target, leaf); ns.enter(pos + 1) {
+						next = append(next, ns)
+					}
+				case lr.ActionReduce:
+					if ns := p.reduce(st, act.Target); ns != nil && ns.enter(pos) {
 						work = append(work, ns)
 					}
 				case lr.ActionAccept:
-					// The accept reduction fires after $ was shifted: the
-					// stack top is the $ leaf and below it the start
-					// symbol's completed tree.
-					if st.prev != nil && st.prev.frame.node != nil {
-						trees = appendDistinct(trees, st.prev.frame.node, g.MaxTrees)
+					if p.accept(st) {
+						return p, nil
 					}
 				}
 			}
 		}
-		stacks = dedupStacks(next)
-		if len(stacks) == 0 {
+		if stacks = next; len(stacks) == 0 {
 			break
 		}
 	}
 	// Closing pass: stacks that shifted $ now sit in a state whose only item
 	// is START' -> start $ •; its reduction is the accept.
 	for _, st := range stacks {
-		for _, act := range g.actionsFor(st.frame.state, grammar.EOF) {
-			if act.Kind == lr.ActionAccept && st.prev != nil && st.prev.frame.node != nil {
-				trees = appendDistinct(trees, st.prev.frame.node, g.MaxTrees)
+		for _, act := range p.actions(st.state, grammar.EOF) {
+			if act.Kind == lr.ActionAccept && p.accept(st) {
+				return p, nil
 			}
 		}
 	}
-	return trees, nil
+	return p, nil
 }
 
-// actionsFor lists every action available in a state under a terminal,
-// including those losing conflicts (reconstructed from the automaton, since
-// Table keeps only the winners).
-func (g *GLR) actionsFor(state int, t grammar.Sym) []lr.Action {
-	var out []lr.Action
-	a := g.tbl.A
+// enter adds the stack to position pos's stack set, reporting false when it
+// is already there.
+func (s *stack) enter(pos int) bool {
+	if s.set == pos {
+		return false
+	}
+	s.set = pos
+	return true
+}
+
+// actions lists the actions the driver follows in a state under a terminal,
+// in a slice the next call reuses.
+func (p *parse) actions(state int, t grammar.Sym) []lr.Action {
+	p.acts = p.acts[:0]
+	if p.replay() && !p.forks[[2]int{state, int(t)}] {
+		if act, ok := p.tbl.Actions[state][t]; ok {
+			p.acts = append(p.acts, act)
+		}
+		return p.acts
+	}
+	// The full action set, reconstructed from the automaton since Table
+	// keeps only the winners.
+	a := p.tbl.A
 	st := a.States[state]
 	if tgt, ok := st.Trans[t]; ok {
-		out = append(out, lr.Action{Kind: lr.ActionShift, Target: tgt})
+		p.acts = append(p.acts, lr.Action{Kind: lr.ActionShift, Target: tgt})
 	}
 	for idx, it := range st.Items {
-		if !a.IsReduce(it) {
+		if !a.IsReduce(it) || !st.Lookahead[idx].Has(a.G.TermIndex(t)) {
 			continue
 		}
-		if !st.Lookahead[idx].Has(a.G.TermIndex(t)) {
-			continue
-		}
-		pid := a.Prod(it)
-		if pid == 0 {
-			out = append(out, lr.Action{Kind: lr.ActionAccept})
+		if pid := a.Prod(it); pid == 0 {
+			p.acts = append(p.acts, lr.Action{Kind: lr.ActionAccept})
 		} else {
-			out = append(out, lr.Action{Kind: lr.ActionReduce, Target: pid})
+			p.acts = append(p.acts, lr.Action{Kind: lr.ActionReduce, Target: pid})
 		}
 	}
-	return out
+	return p.acts
 }
 
-// reduce pops the production's RHS off the stack and pushes the goto state.
-func (g *GLR) reduce(st *glrStack, pid int) (*glrStack, bool) {
-	gr := g.tbl.A.G
-	prod := gr.Production(pid)
-	n := len(prod.RHS)
-	children := make([]*Node, n)
+// push returns the unique stack with the given top over prev.
+func (p *parse) push(prev *stack, state int, tree int32) *stack {
+	k := [3]int32{int32(state), tree, prev.id}
+	s, ok := p.stacks[k]
+	if !ok {
+		s = &stack{id: int32(len(p.stacks) + 1), state: state, tree: tree, prev: prev, set: -1}
+		p.stacks[k] = s
+	}
+	return s
+}
+
+// reduce pops the production's RHS off the stack and pushes the goto state,
+// or returns nil when the stack is too short or has no goto.
+func (p *parse) reduce(st *stack, pid int) *stack {
+	prod := p.tbl.A.G.Production(pid)
+	var kids int32
 	cur := st
-	for i := n - 1; i >= 0; i-- {
+	for range prod.RHS {
 		if cur.prev == nil {
-			return nil, false
+			return nil
 		}
-		children[i] = cur.frame.node
+		if !p.replay() {
+			kids = p.intern([3]int32{-2, cur.tree, kids})
+		}
 		cur = cur.prev
 	}
-	next, ok := g.tbl.Gotos[cur.frame.state][prod.LHS]
+	next, ok := p.tbl.Gotos[cur.state][prod.LHS]
 	if !ok {
-		return nil, false
+		return nil
 	}
-	node := &Node{Sym: prod.LHS, Prod: pid, Children: children}
-	return cur.push(glrFrame{next, node}), true
+	var tree int32
+	if !p.replay() {
+		tree = p.intern([3]int32{int32(pid), int32(prod.LHS), kids})
+	}
+	return p.push(cur, next, tree)
 }
 
-// stackKey identifies a stack by its state sequence and tree shapes (cheap
-// structural hash for the per-token dedup).
-func stackKey(s *glrStack) string {
-	b := make([]byte, 0, s.depth*6)
-	for cur := s; cur != nil; cur = cur.prev {
-		b = append(b, byte(cur.frame.state), byte(cur.frame.state>>8))
-		if cur.frame.node != nil {
-			b = append(b, nodeFingerprint(cur.frame.node)...)
-		}
-		b = append(b, ';')
+// accept records an accepting stack and reports whether the run is done: a
+// replay stops at the first, a tree-counting run keeps collecting. The
+// accept reduction fires after $ was shifted, so the stack top is the $
+// leaf and below it the start symbol's tree.
+func (p *parse) accept(st *stack) bool {
+	p.accepted = true
+	if t := st.prev; !p.replay() && t != nil && t.tree != 0 && len(p.trees) < maxTrees && !slices.Contains(p.trees, t.tree) {
+		p.trees = append(p.trees, t.tree)
 	}
-	return string(b)
-}
-
-func nodeFingerprint(n *Node) []byte {
-	var out []byte
-	var walk func(*Node)
-	walk = func(m *Node) {
-		out = append(out, byte(m.Prod+1), byte(m.Sym))
-		for _, c := range m.Children {
-			walk(c)
-		}
-	}
-	walk(n)
-	return out
-}
-
-func dedupStacks(stacks []*glrStack) []*glrStack {
-	if len(stacks) <= 1 {
-		return stacks
-	}
-	seen := make(map[string]bool, len(stacks))
-	out := stacks[:0]
-	for _, s := range stacks {
-		k := stackKey(s)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func appendDistinct(trees []*Node, t *Node, max int) []*Node {
-	if len(trees) >= max {
-		return trees
-	}
-	fp := string(nodeFingerprint(t))
-	for _, u := range trees {
-		if string(nodeFingerprint(u)) == fp {
-			return trees
-		}
-	}
-	return append(trees, t)
-}
-
-// CountParses is a convenience wrapper: the number of distinct parse trees
-// (up to MaxTrees) for a terminal string given as symbol names.
-func (g *GLR) CountParses(words []grammar.Sym) (int, error) {
-	toks := make([]Token, len(words))
-	for i, s := range words {
-		toks[i] = Token{Sym: s, Text: g.tbl.A.G.Name(s), Pos: i}
-	}
-	trees, err := g.ParseAll(toks)
-	if err != nil {
-		return 0, err
-	}
-	return len(trees), nil
+	return p.replay()
 }
 
 // Concretize rewrites a sentential form to a terminal string by expanding

@@ -1,10 +1,12 @@
 package engine_test
 
 import (
+	"fmt"
 	"testing"
 
 	"lrcex/internal/engine"
 	"lrcex/internal/grammar"
+	"lrcex/internal/lr"
 )
 
 func words(t *testing.T, g *grammar.Grammar, input string) []grammar.Sym {
@@ -108,15 +110,110 @@ func TestGLRCatalanGrowth(t *testing.T) {
 }
 
 func TestGLRMaxTreesCap(t *testing.T) {
+	// Seven operands have Catalan(6) = 132 parses; the driver returns its
+	// cap of 16.
 	g, tbl := compile(t, `e : e '+' e | 'n' ;`)
 	glr := engine.NewGLR(tbl)
-	glr.MaxTrees = 3
-	n, err := glr.CountParses(words(t, g, "n + n + n + n + n"))
+	n, err := glr.CountParses(words(t, g, "n + n + n + n + n + n + n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Errorf("parses = %d, want cap 3", n)
+	if n != 16 {
+		t.Errorf("parses = %d, want the cap 16", n)
+	}
+}
+
+// TestGLRTreeIDsAreExact parses "x" two ways, as s → x m and as s → n x, on
+// a grammar padded so that the two trees agree on every production and
+// symbol id modulo 256: productions 1 and 257, 255 and 511; symbols x, n and
+// m are 3, 259 and 515. A tree key that keeps one byte per id counts one
+// parse.
+func TestGLRTreeIDsAreExact(t *testing.T) {
+	b := grammar.NewBuilder()
+	s := b.Nonterminal("s")
+	x := b.Terminal("x")
+	f := b.Nonterminal("f")
+	next := f + 1 // the next symbol id
+	pad := func(sym grammar.Sym) {
+		for ; next < sym; next++ {
+			b.Terminal(fmt.Sprintf("t%d", next))
+		}
+		next++ // sym itself
+	}
+	pad(259)
+	n := b.Nonterminal("n")
+	pad(515)
+	m := b.Nonterminal("m")
+	if x != 3 || n != 259 || m != 515 {
+		t.Fatalf("symbol ids x=%d n=%d m=%d, want 3, 259, 515", x, n, m)
+	}
+	prods := 0
+	add := func(lhs grammar.Sym, rhs ...grammar.Sym) {
+		b.Add(lhs, rhs, grammar.NoSym)
+		prods++
+	}
+	fill := func(pid int) { // production ids start at 1, after START'
+		for prods+1 < pid {
+			add(f, x, x)
+		}
+	}
+	add(s, x, m)
+	fill(255)
+	add(n)
+	fill(257)
+	add(s, n, x)
+	fill(511)
+	add(m)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid, lhs := range map[int]grammar.Sym{1: s, 255: n, 257: s, 511: m} {
+		if g.Production(pid).LHS != lhs {
+			t.Fatalf("production %d is %s, want an %s production", pid, g.ProdString(pid), g.Name(lhs))
+		}
+	}
+	got, err := engine.NewGLR(lr.BuildTable(lr.Build(g))).CountParses([]grammar.Sym{x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 2 {
+		t.Errorf("parses of \"x\" = %d, want 2 (s → x m and s → n x)", got)
+	}
+}
+
+func TestReplayHonorsNonassoc(t *testing.T) {
+	// %nonassoc turns "n < n < n" into a syntax error for the generated
+	// parser; the grammar's language, which the tree-building driver
+	// measures, still has it twice.
+	g, tbl := compile(t, "%nonassoc '<'\ne : e '<' e | 'n' ;")
+	in := words(t, g, "n < n < n")
+	if ok, err := engine.NewReplay(tbl).Accepts(in); err != nil || ok {
+		t.Errorf("replay accepts %q = %v, %v; want false", "n < n < n", ok, err)
+	}
+	if ok, err := engine.NewReplay(tbl).Accepts(words(t, g, "n < n")); err != nil || !ok {
+		t.Errorf("replay accepts %q = %v, %v; want true", "n < n", ok, err)
+	}
+	if n, err := engine.NewGLR(tbl).CountParses(in); err != nil || n != 2 {
+		t.Errorf("full parses of %q = %d, %v; want 2", "n < n < n", n, err)
+	}
+}
+
+func TestReplayForksAtUnresolvedConflict(t *testing.T) {
+	// State 0 has an unresolved shift/reduce conflict on 'y': shift for
+	// s → y w, reduce a → ε for s → a y z. The table's default (shift) rejects
+	// "y z"; the replay forks and accepts it.
+	g, tbl := compile(t, "s : a 'y' 'z' | 'y' 'w' ;\na : ;")
+	if len(tbl.Conflicts) != 1 {
+		t.Fatalf("conflicts = %d, want 1", len(tbl.Conflicts))
+	}
+	for _, input := range []string{"y z", "y w"} {
+		if ok, err := engine.NewReplay(tbl).Accepts(words(t, g, input)); err != nil || !ok {
+			t.Errorf("replay accepts %q = %v, %v; want true", input, ok, err)
+		}
+	}
+	if _, err := parseWords(t, g, tbl, "y z"); err == nil {
+		t.Error("the deterministic parser accepts \"y z\"; want the shift default to reject it")
 	}
 }
 

@@ -72,6 +72,10 @@ type Row struct {
 	Stats core.SearchStats
 
 	Examples []*core.Example
+	// Compiled is the grammar's table and search graph, for rendering the
+	// examples' reports or repairing the grammar without a rebuild. Table1
+	// rows drop it, so a whole table retains no per-grammar graphs.
+	Compiled *core.Compiled
 	Err      error
 }
 
@@ -124,6 +128,7 @@ func MeasureContext(ctx context.Context, e *corpus.Entry, opts Options) Row {
 	compiled := core.Compile(tbl)
 	build.Span().Set("states", len(tbl.A.States))
 	row.BuildWall = build.End()
+	row.Compiled = compiled
 	row.Nonterms = len(g.Nonterminals())
 	row.Prods = g.NumProductions()
 	row.States = len(tbl.A.States)
@@ -179,7 +184,9 @@ func Table1(entries []*corpus.Entry, opts Options) []Row {
 func Table1Context(ctx context.Context, entries []*corpus.Entry, opts Options) []Row {
 	rows := make([]Row, 0, len(entries))
 	for _, e := range entries {
-		rows = append(rows, MeasureContext(ctx, e, opts))
+		row := MeasureContext(ctx, e, opts)
+		row.Compiled = nil
+		rows = append(rows, row)
 		runtime.GC()
 	}
 	return rows

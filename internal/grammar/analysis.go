@@ -125,7 +125,7 @@ func (g *Grammar) MinTerminalExpansion() []int {
 }
 
 // WithStart rebuilds the grammar with a different start nonterminal, keeping
-// every production and precedence declaration. Counterexample validation
+// every symbol id, production and precedence declaration. Counterexample validation
 // uses this to check ambiguity of an inner nonterminal: a unifying
 // counterexample is a derivation of the innermost conflicting nonterminal,
 // not of the start symbol (Section 3.2).

@@ -299,3 +299,21 @@ func TestStringRendering(t *testing.T) {
 		t.Errorf("augmented production renders as %q", got)
 	}
 }
+
+// TestWithStartKeepsSymbolIDs pins what the GLR oracle relies on to pass
+// sentences between a grammar and its restarts unchanged.
+func TestWithStartKeepsSymbolIDs(t *testing.T) {
+	g := buildFigure1(t)
+	sub, err := g.WithStart(sym(t, g, "expr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.NumSymbols() != g.NumSymbols() || sub.StartSym() != sym(t, g, "expr") {
+		t.Fatalf("restart has %d symbols and start %s; want %d and expr", sub.NumSymbols(), sub.Name(sub.StartSym()), g.NumSymbols())
+	}
+	for s := 0; s < g.NumSymbols(); s++ {
+		if sub.Name(Sym(s)) != g.Name(Sym(s)) || sub.IsTerminal(Sym(s)) != g.IsTerminal(Sym(s)) {
+			t.Errorf("symbol %d is %s in the restart, %s in the grammar", s, sub.Name(Sym(s)), g.Name(Sym(s)))
+		}
+	}
+}

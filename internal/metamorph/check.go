@@ -266,7 +266,7 @@ func (o *OracleStats) Add(o2 OracleStats) {
 // (original or mutant alike):
 //
 //   - every unifying counterexample, concretized, must yield >= 2 GLR parse
-//     trees (engine.ValidateAmbiguous — no code shared with the search);
+//     trees (engine.Oracle — no code shared with the search);
 //   - every nonunifying example produced from a completed search
 //     (exhausted/timeout kinds) must have a prefix that actually reaches the
 //     conflict item with the conflict terminal in its lookahead
@@ -278,6 +278,7 @@ func CheckOracles(ref Ref, a *Analysis, cfg CheckConfig) ([]Violation, OracleSta
 	var vs []Violation
 	var st OracleStats
 	uni, non := 0, 0
+	oracle := engine.NewOracle(a.Grammar, a.Table)
 	for _, ex := range a.Examples {
 		switch ex.Kind {
 		case core.Unifying:
@@ -286,7 +287,7 @@ func CheckOracles(ref Ref, a *Analysis, cfg CheckConfig) ([]Violation, OracleSta
 				continue
 			}
 			uni++
-			n, err := engine.ValidateAmbiguous(a.Grammar, ex.Nonterminal, ex.Syms)
+			n, err := oracle.CountParses(ex.Nonterminal, ex.Syms)
 			if err != nil {
 				if errors.Is(err, engine.ErrForkLimit) {
 					st.UnifySkipped++

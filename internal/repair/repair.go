@@ -179,7 +179,7 @@ func Advise(ctx context.Context, in Input, opts Options) (*Result, error) {
 	cands := synthesize(g, tbl.A, tbl.Conflicts, examples, origSrc, opts.MaxCandidates)
 	res.Candidates = len(cands)
 
-	probes, skipped := buildProbes(g, examples)
+	probes, skipped := buildProbes(g, tbl, examples)
 	res.Probes, res.ProbesSkipped = len(probes), skipped
 	origSigs := signatureCounts(g, tbl)
 

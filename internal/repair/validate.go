@@ -31,46 +31,24 @@ type probe struct {
 }
 
 // buildProbes concretizes the counterexample sentences and calibrates each
-// against the ORIGINAL grammar's GLR baseline: a sentence the original
-// parser cannot parse (or cannot judge within the fork budget) is no
-// evidence about the repaired language and is dropped, counted in skipped —
-// the same counted-never-silent discipline the metamorphic oracles use.
-func buildProbes(g *grammar.Grammar, examples []*core.Example) (probes []probe, skipped int) {
-	recCache := map[grammar.Sym]*recognizer{}
-	subCache := map[grammar.Sym]*grammar.Grammar{}
+// against the ORIGINAL grammar's resolved parser (engine.NewReplay): a
+// sentence the original parser cannot parse (or cannot judge within the fork
+// budget) is no evidence about the repaired language and is dropped, counted
+// in skipped — the same counted-never-silent discipline the metamorphic
+// oracles use.
+func buildProbes(g *grammar.Grammar, tbl *lr.Table, examples []*core.Example) (probes []probe, skipped int) {
+	oracle := engine.NewOracle(g, tbl)
 	parses := func(start grammar.Sym, syms []grammar.Sym) (words []string, ok bool) {
-		sub := subCache[start]
-		if sub == nil {
-			var err error
-			if sub, err = g.WithStart(start); err != nil {
-				return nil, false
-			}
-			subCache[start] = sub
-		}
-		mapped := make([]grammar.Sym, len(syms))
-		for i, s := range syms {
-			m, found := sub.Lookup(g.Name(s))
-			if !found {
-				return nil, false
-			}
-			mapped[i] = m
-		}
-		concrete, found := engine.Concretize(sub, mapped)
-		if !found {
+		concrete, ok := engine.Concretize(g, syms)
+		if !ok {
 			return nil, false
 		}
-		rec := recCache[start]
-		if rec == nil {
-			rec = newRecognizer(lr.BuildTable(lr.Build(sub)))
-			recCache[start] = rec
-		}
-		accepted, err := rec.accepts(concrete)
-		if err != nil || !accepted {
+		if accepted, err := oracle.Accepts(start, concrete); err != nil || !accepted {
 			return nil, false
 		}
 		words = make([]string, len(concrete))
 		for i, s := range concrete {
-			words[i] = sub.Name(s)
+			words[i] = g.Name(s)
 		}
 		return words, true
 	}
@@ -183,50 +161,21 @@ func validate(cand Candidate, name string, origSigs map[string]int, probes []pro
 	}
 
 	// Language replay: every calibrated probe must still parse under the
-	// repaired grammar's RESOLVED parser (see recognizer — remaining
+	// repaired grammar's RESOLVED parser (engine.NewReplay — remaining
 	// unresolved conflicts fork, resolutions and %nonassoc error entries
 	// bind). Fork-limit verdicts are skips, never silent passes.
-	type replayer struct {
-		rec *recognizer
-		g   *grammar.Grammar
-	}
-	subCache := map[string]*replayer{}
-	recFor := func(startName string) *replayer {
-		if r, ok := subCache[startName]; ok {
-			return r
-		}
-		var r *replayer
-		if s, ok := g2.Lookup(startName); ok && !g2.IsTerminal(s) {
-			if s == g2.StartSym() {
-				r = &replayer{newRecognizer(tbl), g2}
-			} else if sub, err := g2.WithStart(s); err == nil {
-				r = &replayer{newRecognizer(lr.BuildTable(lr.Build(sub))), sub}
-			}
-		}
-		subCache[startName] = r
-		return r
-	}
+	oracle := engine.NewOracle(g2, tbl)
 	for _, pr := range probes {
-		rep := recFor(pr.Start)
-		if rep == nil {
-			out.ProbesBroken++
-			continue
-		}
+		start, ok := g2.Lookup(pr.Start)
 		syms := make([]grammar.Sym, len(pr.Words))
-		ok := true
-		for i, w := range pr.Words {
-			s, found := rep.g.Lookup(w)
-			if !found {
-				ok = false
-				break
-			}
-			syms[i] = s
+		for i := 0; ok && i < len(syms); i++ {
+			syms[i], ok = g2.Lookup(pr.Words[i])
 		}
 		if !ok {
 			out.ProbesBroken++
 			continue
 		}
-		accepted, err := rep.rec.accepts(syms)
+		accepted, err := oracle.Accepts(start, syms)
 		switch {
 		case errors.Is(err, engine.ErrForkLimit):
 			out.ProbesSkipped++

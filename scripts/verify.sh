@@ -35,8 +35,9 @@ go vet ./...
 # determinism checks — parallel FindAll, span trees, the repair matrix — are
 # the schedules the race detector exists to check, and run in full, as does
 # TestConcurrentFindContextSharesPaths (eight goroutines racing to run one
-# Finder's once-per-grammar shortest-path search).
-go test -race -short ./internal/core/... ./internal/eval/... ./internal/repair/... ./internal/server/... ./internal/persist/... ./internal/trace/...
+# Finder's once-per-grammar shortest-path search) and TestOracleConcurrent
+# (goroutines racing to build one engine.Oracle's restarted tables).
+go test -race -short ./internal/core/... ./internal/engine/... ./internal/eval/... ./internal/repair/... ./internal/server/... ./internal/persist/... ./internal/trace/...
 
 echo "== tier 3: fuzz smoke (${FUZZTIME}) =="
 go test -run='^$' -fuzz=FuzzFindAll -fuzztime="$FUZZTIME" ./internal/core/
