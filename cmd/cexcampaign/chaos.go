@@ -167,7 +167,7 @@ func runChaos(args []string) int {
 
 		// Invariant 3: surviving unifying examples must still be
 		// genuinely ambiguous per the GLR oracle.
-		if resp == nil || e.Name == "Java.2" {
+		if resp == nil {
 			return
 		}
 		for i := range resp.Examples {

@@ -1,8 +1,10 @@
 package gdl_test
 
 import (
+	"strings"
 	"testing"
 
+	"lrcex/internal/corpus"
 	"lrcex/internal/gdl"
 	"lrcex/internal/grammar"
 )
@@ -98,4 +100,27 @@ e : e '+' e /* mid */ | e '-' e | NUM ; // trailing
 			t.Errorf("variant %d: fingerprint changed under pure reformatting", i)
 		}
 	}
+}
+
+// TestFingerprintMatchesReferenceOnCorpus checks the streaming Fingerprint
+// against the token-slice reference on every corpus grammar, whole and cut
+// at a spread of byte offsets (which leaves unterminated comments and
+// literals and directive lists cut mid-line).
+func TestFingerprintMatchesReferenceOnCorpus(t *testing.T) {
+	n := 0
+	for _, e := range corpus.All() {
+		srcs := []string{e.Source, strings.ReplaceAll(e.Source, "\n", " ")}
+		for cut := 1; cut < len(e.Source); cut += len(e.Source)/16 + 1 {
+			srcs = append(srcs, e.Source[:cut])
+		}
+		for _, src := range srcs {
+			got, gerr := gdl.Fingerprint(e.Name, src, gdl.Limits{})
+			want, werr := gdl.ReferenceFingerprint(e.Name, src, gdl.Limits{})
+			if got != want || (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+				t.Fatalf("%s (%d bytes): Fingerprint %s, %v; reference %s, %v", e.Name, len(src), got, gerr, want, werr)
+			}
+			n++
+		}
+	}
+	t.Logf("%d sources matched", n)
 }

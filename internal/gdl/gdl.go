@@ -65,75 +65,103 @@ type token struct {
 	line int
 }
 
-func lex(name, src string) ([]token, error) {
-	var toks []token
-	line := 1
-	i := 0
-	for i < len(src) {
-		c := src[i]
+// scanner lexes GDL source one token at a time without allocating: the
+// token texts are substrings of src. A copy of a scanner is an independent
+// cursor, which Fingerprint uses to look ahead.
+type scanner struct {
+	name string
+	src  string
+	i    int
+	line int
+}
+
+func newScanner(name, src string) scanner {
+	return scanner{name: name, src: src, line: 1}
+}
+
+// next returns the next token, tokEOF (repeatedly) at the end of the source,
+// or the lexical error at the cursor.
+func (s *scanner) next() (token, error) {
+	src := s.src
+	for s.i < len(src) {
+		i, c := s.i, src[s.i]
 		switch {
 		case c == '\n':
-			line++
-			i++
+			s.line++
+			s.i++
 		case c == ' ' || c == '\t' || c == '\r':
-			i++
+			s.i++
 		case c == '/' && i+1 < len(src) && src[i+1] == '/':
-			for i < len(src) && src[i] != '\n' {
-				i++
+			for s.i < len(src) && src[s.i] != '\n' {
+				s.i++
 			}
 		case c == '/' && i+1 < len(src) && src[i+1] == '*':
 			j := strings.Index(src[i+2:], "*/")
 			if j < 0 {
-				return nil, fmt.Errorf("%s:%d: unterminated block comment", name, line)
+				return token{}, fmt.Errorf("%s:%d: unterminated block comment", s.name, s.line)
 			}
-			line += strings.Count(src[i:i+2+j+2], "\n")
-			i += 2 + j + 2
+			s.line += strings.Count(src[i:i+2+j+2], "\n")
+			s.i += 2 + j + 2
 		case c == ':':
-			toks = append(toks, token{tokColon, ":", line})
-			i++
+			s.i++
+			return token{tokColon, ":", s.line}, nil
 		case c == '|':
-			toks = append(toks, token{tokPipe, "|", line})
-			i++
+			s.i++
+			return token{tokPipe, "|", s.line}, nil
 		case c == ';':
-			toks = append(toks, token{tokSemi, ";", line})
-			i++
+			s.i++
+			return token{tokSemi, ";", s.line}, nil
 		case c == '%':
 			j := i + 1
 			for j < len(src) && isIdentChar(src[j]) {
 				j++
 			}
 			if j == i+1 {
-				return nil, fmt.Errorf("%s:%d: bare %% in input", name, line)
+				return token{}, fmt.Errorf("%s:%d: bare %% in input", s.name, s.line)
 			}
-			toks = append(toks, token{tokDirective, src[i+1 : j], line})
-			i = j
+			s.i = j
+			return token{tokDirective, src[i+1 : j], s.line}, nil
 		case c == '\'' || c == '"':
-			quote := c
 			j := i + 1
-			for j < len(src) && src[j] != quote && src[j] != '\n' {
+			for j < len(src) && src[j] != c && src[j] != '\n' {
 				j++
 			}
-			if j >= len(src) || src[j] != quote {
-				return nil, fmt.Errorf("%s:%d: unterminated quoted terminal", name, line)
+			if j >= len(src) || src[j] != c {
+				return token{}, fmt.Errorf("%s:%d: unterminated quoted terminal", s.name, s.line)
 			}
 			if j == i+1 {
-				return nil, fmt.Errorf("%s:%d: empty quoted terminal", name, line)
+				return token{}, fmt.Errorf("%s:%d: empty quoted terminal", s.name, s.line)
 			}
-			toks = append(toks, token{tokLiteral, src[i+1 : j], line})
-			i = j + 1
+			s.i = j + 1
+			return token{tokLiteral, src[i+1 : j], s.line}, nil
 		case isIdentStart(c):
 			j := i
 			for j < len(src) && isIdentChar(src[j]) {
 				j++
 			}
-			toks = append(toks, token{tokIdent, src[i:j], line})
-			i = j
+			s.i = j
+			return token{tokIdent, src[i:j], s.line}, nil
 		default:
-			return nil, fmt.Errorf("%s:%d: unexpected character %q", name, line, string(c))
+			return token{}, fmt.Errorf("%s:%d: unexpected character %q", s.name, s.line, string(c))
 		}
 	}
-	toks = append(toks, token{tokEOF, "", line})
-	return toks, nil
+	return token{tokEOF, "", s.line}, nil
+}
+
+// lex returns the whole token stream, ending in tokEOF.
+func lex(name, src string) ([]token, error) {
+	s := newScanner(name, src)
+	var toks []token
+	for {
+		t, err := s.next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, nil
+		}
+	}
 }
 
 func isIdentStart(c byte) bool {

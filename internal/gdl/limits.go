@@ -104,31 +104,56 @@ func Fingerprint(name, src string, lim Limits) (string, error) {
 	if err := lim.check(name, LimitSourceBytes, lim.MaxSourceBytes, len(src)); err != nil {
 		return "", err
 	}
-	toks, err := lex(name, src)
-	if err != nil {
-		return "", err
-	}
+	// Each token is hashed as it is scanned, through one reused buffer, so
+	// the cost is O(len(src)) time and O(1) allocations.
+	s := newScanner(name, src)
 	h := sha256.New()
-	var sep [2]byte
-	for i, t := range toks {
+	buf := make([]byte, 0, fingerprintBuf)
+	for {
+		t, err := s.next()
+		if err != nil {
+			return "", err
+		}
 		// (kind, len-delimited text): unambiguous framing, so "a b" and
-		// "ab" cannot collide.
-		sep[0] = byte(t.kind)
-		sep[1] = byte(len(t.text)) // texts > 255 bytes still framed by kind byte + content
-		h.Write(sep[:])
-		h.Write([]byte(t.text))
+		// "ab" cannot collide. Texts > 255 bytes are still framed by the
+		// kind byte + content.
+		buf = append(buf, byte(t.kind), byte(len(t.text)))
+		buf = append(buf, t.text...)
 		if t.kind == tokDirective && lineSensitiveDirective(t.text) {
-			n := 0
-			for _, a := range toks[i+1:] {
-				if (a.kind != tokIdent && a.kind != tokLiteral) || a.line != t.line {
-					break
-				}
-				n++
-			}
-			h.Write([]byte{0xff, byte(n), byte(n >> 8)})
+			n := sameLineArgs(s, t.line)
+			buf = append(buf, 0xff, byte(n), byte(n>>8))
+		}
+		if t.kind == tokEOF {
+			h.Write(buf)
+			break
+		}
+		if len(buf) >= fingerprintBuf/2 {
+			h.Write(buf)
+			buf = buf[:0]
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	var sum [sha256.Size]byte
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], h.Sum(sum[:0]))
+	return string(out[:]), nil
+}
+
+// fingerprintBuf is the capacity of Fingerprint's hash input buffer.
+const fingerprintBuf = 1024
+
+// sameLineArgs counts the names and literals that follow a directive on its
+// line: the argument list the parser will consume. It scans a copy of the
+// scanner, so the caller's cursor does not move; a lexical error ends the
+// count (the caller's own scan reaches and reports it).
+func sameLineArgs(s scanner, line int) int {
+	n := 0
+	for {
+		t, err := s.next()
+		if err != nil || (t.kind != tokIdent && t.kind != tokLiteral) || t.line != line {
+			return n
+		}
+		n++
+	}
 }
 
 // lineSensitiveDirective reports whether the directive's argument list is

@@ -6,10 +6,10 @@ import (
 )
 
 // lru is a mutex-guarded LRU map from string keys to values of type V. The
-// server keeps two: the result cache (lru[any]) and the compile cache
-// (lru[*compiledGrammar]); what each keys on is documented at Server.cache
-// and Server.compile. Values are immutable once inserted, so a hit is a
-// pointer share, not a deep copy.
+// server keeps two: the result cache (lru[*cachedReport]) and the compile
+// cache (lru[*compiledGrammar]); what each keys on is documented at
+// Server.cache and Server.compile. Values are immutable once inserted, so a
+// hit is a pointer share, not a deep copy.
 type lru[V any] struct {
 	mu        sync.Mutex
 	max       int

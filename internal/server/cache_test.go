@@ -61,7 +61,7 @@ func (m *modelLRU[V]) add(key string, val V) {
 }
 
 // TestCacheLRUProperty runs randomized get/add streams against both of the
-// server's instantiations — the result cache's lru[any] and the compile
+// server's instantiations — the result cache's lru[*cachedReport] and the compile
 // cache's lru[*compiledGrammar] — and the reference model, checking results,
 // recency order, and counters after every operation.
 func TestCacheLRUProperty(t *testing.T) {
@@ -69,7 +69,7 @@ func TestCacheLRUProperty(t *testing.T) {
 		cap := cap
 		t.Run(fmt.Sprintf("cap%d", cap), func(t *testing.T) {
 			t.Run("result", func(t *testing.T) {
-				checkLRUProperty(t, cap, func(key string) any { return &AnalyzeResponse{Name: key} })
+				checkLRUProperty(t, cap, func(key string) *cachedReport { return &cachedReport{body: []byte(key)} })
 			})
 			t.Run("compile", func(t *testing.T) {
 				checkLRUProperty(t, cap, func(key string) *compiledGrammar { return &compiledGrammar{name: key} })

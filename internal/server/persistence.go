@@ -99,7 +99,14 @@ func (p *persister) loadRecord(s *Server, rec persist.Record) (ok bool) {
 		if strings.HasPrefix(rec.Key, repairKeyPrefix) {
 			val = &resp
 		}
-		s.cache.add(rec.Key, val)
+		// The same constructor as a fresh insert: a record journaled before
+		// entries were stored encoded (cached:false, real timings) serves
+		// the same bytes as one written since.
+		e, err := newCachedReport(val)
+		if err != nil {
+			return false
+		}
+		s.cache.add(rec.Key, e)
 		return true
 	case recordKindCompile:
 		var src string
@@ -125,15 +132,10 @@ func (p *persister) loadRecord(s *Server, rec persist.Record) (ok bool) {
 	}
 }
 
-// noteResult journals one result-cache insert (analysis or repair report —
-// the value is the immutable cached response).
-func (p *persister) noteResult(key string, val any) {
-	body, err := json.Marshal(val)
-	if err != nil {
-		p.writeFailures.Add(1)
-		return
-	}
-	if err := p.store.Append(persist.Record{Kind: recordKindResult, Key: key, Value: body}); err != nil {
+// noteResult journals one result-cache insert (analysis or repair report) as
+// the entry's encoded bytes.
+func (p *persister) noteResult(key string, e *cachedReport) {
+	if err := p.store.Append(persist.Record{Kind: recordKindResult, Key: key, Value: e.body}); err != nil {
 		p.writeFailures.Add(1)
 	}
 }
@@ -161,11 +163,7 @@ func (p *persister) snapshot(s *Server) error {
 	err := p.store.Snapshot(func() []persist.Record {
 		var recs []persist.Record
 		for _, e := range s.cache.dumpLRU() {
-			body, merr := json.Marshal(e.val)
-			if merr != nil {
-				continue
-			}
-			recs = append(recs, persist.Record{Kind: recordKindResult, Key: e.key, Value: body})
+			recs = append(recs, persist.Record{Kind: recordKindResult, Key: e.key, Value: e.val.body})
 		}
 		for _, e := range s.compile.dumpLRU() {
 			if e.val.src == "" {

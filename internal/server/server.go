@@ -145,10 +145,11 @@ func (e *RequestTooLargeError) Error() string {
 type Server struct {
 	cfg Config
 	log *slog.Logger // never nil: a discard logger replaces Config.Logger == nil
-	// cache holds complete reports, *AnalyzeResponse or *RepairResponse,
-	// under the keys resultKey builds. respond copies the top-level struct
-	// before stamping it.
-	cache *lru[any]
+	// cache holds complete reports under the keys resultKey builds, each
+	// encoded once at insert as a hit sends it (cachedReport): a hit writes
+	// the stored bytes and encodes only its own timings, and the journal and
+	// the snapshot persist the same bytes.
+	cache *lru[*cachedReport]
 	// compile holds compiled grammars, keyed by the canonical grammar
 	// fingerprint ALONE, unlike cache, whose key is fingerprint ×
 	// report-affecting options. The split is deliberate: cache answers "have
@@ -233,7 +234,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		log:     logger,
-		cache:   newLRU[any](cfg.CacheEntries),
+		cache:   newLRU[*cachedReport](cfg.CacheEntries),
 		compile: newLRU[*compiledGrammar](cfg.CompileEntries),
 		m:       newMetrics(),
 		health:  newHealthTracker(),
@@ -434,15 +435,22 @@ func (s *Server) addCompiled(ctx context.Context, fp string, ce *compiledGrammar
 	}
 }
 
-// addResult inserts a complete report into the result cache and journals it.
-// Partial reports never reach here (they are never cached), so the store
-// only ever holds reports a future request may be answered with verbatim.
-func (s *Server) addResult(ctx context.Context, key string, val any) {
-	s.cache.add(key, val)
+// addResult encodes a complete report, an *AnalyzeResponse or
+// *RepairResponse, into a result-cache entry, inserts it and journals its
+// bytes. Partial reports never reach here (they are never cached), so the
+// store only ever holds reports a future request may be answered with
+// verbatim.
+func (s *Server) addResult(ctx context.Context, key string, report any) {
+	e, err := newCachedReport(report)
+	if err != nil {
+		s.log.Error("result not cached", "request_id", RequestID(ctx), "err", err)
+		return
+	}
+	s.cache.add(key, e)
 	if s.per != nil {
 		_, sp := trace.Start(ctx, "persist.append")
 		sp.Set("record", "result")
-		s.per.noteResult(key, val)
+		s.per.noteResult(key, e)
 		sp.End()
 	}
 }
@@ -844,7 +852,7 @@ func (s *Server) serveV1(w http.ResponseWriter, r *http.Request, repair bool) {
 		if repair {
 			s.m.repairCacheHits.Add(1)
 		}
-		s.respond(w, start, http.StatusOK, cached, outcomeCacheHit)
+		s.respondCached(w, start, cached)
 		return
 	}
 	lookup.Set("hit", false)
@@ -917,10 +925,14 @@ func (s *Server) serveV1(w http.ResponseWriter, r *http.Request, repair bool) {
 			report = &RepairResponse{AnalyzeResponse: *res.resp, Repair: res.repair}
 		}
 		// Partial reports are never cached: a longer-deadline retry must
-		// re-run the search (and the repair validation).
+		// re-run the search (and the repair validation). The flight's leader
+		// caches the report its followers share, so it is encoded and
+		// journaled once.
 		outcome := outcomePartial
 		if res.status == http.StatusOK {
-			s.addResult(ctx, key, report)
+			if !shared {
+				s.addResult(ctx, key, report)
+			}
 			outcome = outcomeOK
 		}
 		s.respond(w, start, res.status, report, outcome)
@@ -958,33 +970,16 @@ func (s *Server) unavailable(w http.ResponseWriter, start time.Time) {
 	s.fail(w, start, http.StatusServiceUnavailable, "draining", "server is shutting down", outcomeUnavailable)
 }
 
-// respond writes a success (or partial) report — an *AnalyzeResponse, or a
-// *RepairResponse on /v1/repair — and records the outcome. It copies the
-// report before stamping the per-request fields so cached and
-// singleflight-shared reports are never mutated after publication. A cache
-// hit ran no phase, so it reports only its own total. Served repair
-// suggestions are counted here, cache hits included: a served suggestion is
-// a served suggestion however it was computed.
+// respond writes a freshly analyzed success (or partial) report — an
+// *AnalyzeResponse, or a *RepairResponse on /v1/repair — and records the
+// outcome; respondCached writes cache hits. It copies the report before
+// stamping the per-request fields so singleflight-shared reports are never
+// mutated after publication. Served repair suggestions are counted here and
+// in respondCached: a served suggestion is a served suggestion however it
+// was computed.
 func (s *Server) respond(w http.ResponseWriter, start time.Time, status int, report any, outcome string) {
-	var out RepairResponse
-	var body any = &out.AnalyzeResponse
-	switch r := report.(type) {
-	case *AnalyzeResponse:
-		out.AnalyzeResponse = *r
-	case *RepairResponse:
-		out, body = *r, &out
-		if r.Repair != nil {
-			served := 0
-			for _, adv := range r.Repair.PerConflict {
-				served += len(adv.Suggestions)
-			}
-			s.m.repairSuggestions.Add(int64(served))
-		}
-	}
-	if outcome == outcomeCacheHit {
-		out.Cached = true
-		out.Timings = Timings{}
-	}
+	out, body, served := wireCopy(report)
+	s.m.repairSuggestions.Add(int64(served))
 	total := time.Since(start)
 	out.Timings.TotalMS = millis(total)
 	s.m.observe(outcome, total)

@@ -43,6 +43,7 @@ echo "== tier 3: fuzz smoke (${FUZZTIME}) =="
 go test -run='^$' -fuzz=FuzzFindAll -fuzztime="$FUZZTIME" ./internal/core/
 go test -run='^$' -fuzz=FuzzRecoverLadder -fuzztime=5s ./internal/core/
 go test -run='^$' -fuzz=FuzzParseLimited -fuzztime=5s ./internal/gdl/
+go test -run='^$' -fuzz=FuzzFingerprint -fuzztime=5s ./internal/gdl/
 go test -run='^$' -fuzz=FuzzPersistLoad -fuzztime=5s ./internal/persist/
 
 echo "== tier 4: campaign smokes (chaos, diff, fix, restart, trace) =="
